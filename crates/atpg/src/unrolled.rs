@@ -186,7 +186,7 @@ mod tests {
         for f in 0..3 {
             sim.set(u.pi_frames[f][0], u64::MAX);
         }
-        sim.eval(&u.view);
+        sim.eval();
         let out = |f: usize| {
             let p = u.view.port(&format!("f{f}.out")).unwrap().bits()[0];
             sim.get(p) & 1

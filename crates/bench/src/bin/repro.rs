@@ -15,8 +15,9 @@
 //! `--bench-faultsim` skips the tables and instead benchmarks the
 //! fault-simulation hot path per module — one serial and one all-cores
 //! stuck-at campaign each, asserting bit-identical detection before timing
-//! is trusted — and writes the measurements to `BENCH_faultsim.json`,
-//! including traced-vs-untraced wall columns with a ≤ 2 % instrumentation
+//! is trusted, and checking the kernel against brute-force good-vs-forced
+//! runs of the naive reference interpreter — and writes the measurements
+//! to `BENCH_faultsim.json`, including traced-vs-untraced wall columns with a ≤ 2 % instrumentation
 //! overhead check, a health-monitor overhead column under the same gate,
 //! and the drift detection-latency column (an injected 3× defect-rate
 //! step must be flagged within 8 batches).
@@ -85,6 +86,7 @@ use soctest_bench::{
     render_fig3, render_fig4, render_table1, render_table2, render_table3, render_table4,
     render_table5,
 };
+use soctest_conformance::oracle;
 use soctest_core::autopilot::{Autopilot, AutopilotConfig, Verdict};
 use soctest_core::casestudy::CaseStudy;
 use soctest_core::cockpit;
@@ -92,7 +94,7 @@ use soctest_core::experiments::{self, Budget};
 use soctest_core::fleet::{DefectMix, DriftSpec, Fleet, FleetConfig};
 use soctest_core::health::HealthConfig;
 use soctest_core::robust::RobustSession;
-use soctest_fault::{FaultUniverse, ParallelPolicy, SeqFaultSim, SeqFaultSimConfig, SimEngine};
+use soctest_fault::{FaultUniverse, ObserveMode, ParallelPolicy, SeqFaultSim, SeqFaultSimConfig};
 use soctest_obs::{
     json, CountingSink, JsonLinesSink, MetricsHandle, MetricsRegistry, MetricsSnapshot,
     ProfileHandle, SamplerPolicy, TraceHandle, Tracer, VcdReader,
@@ -106,9 +108,6 @@ struct FaultSimBench {
     faults: usize,
     serial_wall_s: f64,
     parallel_wall_s: f64,
-    /// The graph-walking reference engine under the same parallel policy —
-    /// the denominator of the kernel's engine-level speedup.
-    graph_wall_s: f64,
     untraced_wall_s: f64,
     traced_wall_s: f64,
     /// Worker count the serial policy actually resolved to (always 1).
@@ -117,7 +116,6 @@ struct FaultSimBench {
     /// equal to `serial_threads` on a single-core host, in which case the
     /// serial-vs-parallel "speedup" is just measurement noise.
     threads: usize,
-    identical: bool,
     curve: soctest_obs::CurveSummary,
 }
 
@@ -131,16 +129,6 @@ impl FaultSimBench {
     fn speedup(&self) -> f64 {
         if self.parallel_wall_s > 0.0 {
             self.serial_wall_s / self.parallel_wall_s
-        } else {
-            0.0
-        }
-    }
-
-    /// Wall ratio of the graph reference engine to the compiled kernel,
-    /// same fault list and parallel policy on both sides.
-    fn kernel_speedup_vs_graph(&self) -> f64 {
-        if self.parallel_wall_s > 0.0 {
-            self.graph_wall_s / self.parallel_wall_s
         } else {
             0.0
         }
@@ -169,6 +157,49 @@ impl FaultSimBench {
     }
 }
 
+/// Universes up to this many faults are brute-force checked fault for
+/// fault; larger ones (CHECK_NODE's 14 k, minutes of reference time) on a
+/// seeded sample of 1,024.
+const FULL_CHECK_MAX_FAULTS: usize = 4096;
+
+/// Checks the kernel's stuck-at campaign on module `m` against
+/// brute-force good-vs-forced runs of the naive reference interpreter:
+/// detections and the survivor trajectory on every fault (or the 1,024
+/// sample), then syndrome streams under per-cycle output and MISR
+/// observation on a seeded sample of 64 faults. Returns the two fault
+/// counts checked.
+fn oracle_check(
+    case: &CaseStudy,
+    m: usize,
+    universe: &FaultUniverse,
+    patterns: u64,
+) -> Result<(usize, usize), String> {
+    const SEED: u64 = 0x0AC1_E5EED;
+    let rows = oracle::stimulus_rows(
+        &mut case.pattern_generator().stimulus(m, patterns),
+        universe.view().input_width(),
+    );
+    let checked = if universe.len() <= FULL_CHECK_MAX_FAULTS {
+        universe.clone()
+    } else {
+        oracle::sample(universe, 1024, SEED)
+    };
+    oracle::seq_check(&checked, &rows, SeqFaultSimConfig::default())?;
+    let few = oracle::sample(universe, 64, SEED ^ m as u64);
+    for observe in [
+        ObserveMode::Outputs,
+        ObserveMode::misr_default(case.spec().misr_width, 16),
+    ] {
+        let config = SeqFaultSimConfig {
+            observe,
+            collect_syndromes: true,
+            ..Default::default()
+        };
+        oracle::seq_check(&few, &rows, config)?;
+    }
+    Ok((checked.len(), few.len()))
+}
+
 /// Runs the serial and parallel stuck-at campaigns for every module,
 /// prints the per-run [`soctest_fault::FaultSimStats`], and writes
 /// `BENCH_faultsim.json` (hand-rendered; the workspace has no serde).
@@ -183,11 +214,10 @@ fn bench_faultsim(case: &CaseStudy, patterns: u64) {
     {
         let universe = FaultUniverse::stuck_at(&case.modules()[m]);
 
-        let run = |policy: ParallelPolicy, engine: SimEngine| {
+        let run = |policy: ParallelPolicy| {
             let mut stim = pgen.stimulus(m, patterns);
             let cfg = SeqFaultSimConfig {
                 parallel: policy,
-                engine,
                 ..Default::default()
             };
             SeqFaultSim::new(&universe, cfg)
@@ -195,65 +225,44 @@ fn bench_faultsim(case: &CaseStudy, patterns: u64) {
                 .expect("fault sim")
         };
 
-        let serial = run(ParallelPolicy::serial(), SimEngine::Kernel);
-        let parallel = run(ParallelPolicy::default(), SimEngine::Kernel);
-        let graph = run(ParallelPolicy::default(), SimEngine::Graph);
+        let serial = run(ParallelPolicy::serial());
+        let parallel = run(ParallelPolicy::default());
         println!("{name}: serial   {}", serial.stats);
         println!("{name}: parallel {}", parallel.stats);
-        println!("{name}: graph    {}", graph.stats);
 
         // De-noise the headline walls the same way as the trace-overhead
         // pair below: min-of-3, interleaved, so a load spike on this
-        // (possibly single-core) host cannot charge one policy only. The
-        // graph reference is run once — it is the slow denominator, and a
-        // noise spike there only *understates* the kernel's speedup.
+        // (possibly single-core) host cannot charge one policy only.
         let mut serial_wall_s = serial.stats.wall.as_secs_f64();
         let mut parallel_wall_s = parallel.stats.wall.as_secs_f64();
-        let graph_wall_s = graph.stats.wall.as_secs_f64();
         for _ in 0..2 {
-            serial_wall_s = serial_wall_s.min(
-                run(ParallelPolicy::serial(), SimEngine::Kernel)
-                    .stats
-                    .wall
-                    .as_secs_f64(),
-            );
-            parallel_wall_s = parallel_wall_s.min(
-                run(ParallelPolicy::default(), SimEngine::Kernel)
-                    .stats
-                    .wall
-                    .as_secs_f64(),
-            );
+            serial_wall_s =
+                serial_wall_s.min(run(ParallelPolicy::serial()).stats.wall.as_secs_f64());
+            parallel_wall_s =
+                parallel_wall_s.min(run(ParallelPolicy::default()).stats.wall.as_secs_f64());
         }
 
-        // The bit-identity contract, asserted on real workloads: thread
-        // count must not change results, and the compiled kernel must
-        // match the graph-walking reference fault for fault.
-        let identical = serial.detection == parallel.detection
-            && graph.detection == parallel.detection
-            && graph.stats.survivors == parallel.stats.survivors;
+        // Thread count must not change results: detections, and with them
+        // the coverage curves (detection indices are absolute).
         assert!(
             serial.detection == parallel.detection,
             "{name}: parallel run diverged from serial"
         );
-        assert!(
-            graph.detection == parallel.detection,
-            "{name}: kernel engine diverged from the graph reference"
-        );
-        // The coverage curves must also compare bit-identical — detection
-        // indices are absolute, so neither thread count nor engine choice
-        // can reshape the curve.
         assert_eq!(
             serial.curve(),
             parallel.curve(),
             "{name}: parallel coverage curve diverged from serial"
         );
-        assert_eq!(
-            graph.curve(),
-            parallel.curve(),
-            "{name}: kernel coverage curve diverged from the graph reference"
-        );
-        // CI greps for one of these per module.
-        println!("{name}: identical: {identical} (serial vs parallel, kernel vs graph)");
+        // The brute-force gate; CI greps for one line per module.
+        let oracle_start = Instant::now();
+        match oracle_check(case, m, &universe, patterns) {
+            Ok((faults, sampled)) => println!(
+                "{name}: brute-force: identical: true (detections + survivors on {faults} \
+                 faults, syndromes on {sampled} per observation mode; {:.1}s)",
+                oracle_start.elapsed().as_secs_f64()
+            ),
+            Err(d) => panic!("{name}: brute-force: identical: false ({d})"),
+        }
         let curve_summary = parallel.curve().summary();
 
         // Instrumentation-overhead measurement: the same campaign with the
@@ -291,21 +300,13 @@ fn bench_faultsim(case: &CaseStudy, patterns: u64) {
             faults: universe.len(),
             serial_wall_s,
             parallel_wall_s,
-            graph_wall_s,
             untraced_wall_s,
             traced_wall_s,
             serial_threads: serial.stats.threads,
             threads: parallel.stats.threads,
-            identical,
             curve: curve_summary,
         });
         let r = rows.last().expect("just pushed");
-        println!(
-            "{name}: kernel {:.4}s vs graph {:.4}s ({:.1}x)",
-            parallel_wall_s,
-            graph_wall_s,
-            r.kernel_speedup_vs_graph()
-        );
         if r.speedup_comparable() {
             println!(
                 "{name}: serial/parallel speedup {:.2}x on {} thread(s)",
@@ -354,22 +355,19 @@ fn bench_faultsim(case: &CaseStudy, patterns: u64) {
             json,
             "    {{\"name\": \"{}\", \"patterns\": {}, \"faults\": {}, \
              \"serial_wall_s\": {:.6}, \"parallel_wall_s\": {:.6}, \
-             \"kernel_wall_s\": {:.6}, \"graph_wall_s\": {:.6}, \
-             \"kernel_speedup_vs_graph\": {:.3}, \
+             \"kernel_wall_s\": {:.6}, \
              \"untraced_wall_s\": {:.6}, \"traced_wall_s\": {:.6}, \
              \"trace_overhead_pct\": {:.3}, \"trace_overhead_ok\": {}, \
              \"serial_threads\": {}, \"threads\": {}, \
              \"speedup_comparable\": {}, \"speedup\": {}, \
              \"faults_per_s\": {:.1}, \
-             \"identical\": {}, \"knee\": {}, \"curve\": {}}}",
+             \"identical\": true, \"knee\": {}, \"curve\": {}}}",
             r.name,
             r.patterns,
             r.faults,
             r.serial_wall_s,
             r.parallel_wall_s,
             r.parallel_wall_s,
-            r.graph_wall_s,
-            r.kernel_speedup_vs_graph(),
             r.untraced_wall_s,
             r.traced_wall_s,
             r.trace_overhead_pct(),
@@ -379,7 +377,6 @@ fn bench_faultsim(case: &CaseStudy, patterns: u64) {
             r.speedup_comparable(),
             speedup,
             r.faults_per_s(),
-            r.identical,
             knee,
             r.curve.to_json(),
         );

@@ -12,6 +12,9 @@
 //! Layout:
 //! * [`generator`] — seeded random netlist/FSM generator;
 //! * [`reference`] — the naive fixpoint interpreter ([`RefMachine`]);
+//! * [`oracle`] — the brute-force good-vs-forced fault-simulation runner
+//!   on [`RefMachine`], the reference both fault simulators are checked
+//!   against;
 //! * [`pairs`] — one differential runner per redundant engine pair;
 //! * [`selftest`] — mutation self-test that verifies the oracle itself;
 //! * [`report`] — mismatch reports, netlist dump/replay, and the greedy
@@ -31,6 +34,7 @@
 
 pub mod fleet;
 pub mod generator;
+pub mod oracle;
 pub mod pairs;
 pub mod reference;
 pub mod report;
@@ -38,6 +42,7 @@ pub mod selftest;
 
 pub use fleet::{fleet_difftest, FleetDiffOutcome, FleetMismatch};
 pub use generator::{random_netlist, GeneratorConfig};
+pub use oracle::{brute_force, seq_check, Campaign, RefRun};
 pub use pairs::{run_all_pairs, PAIR_NAMES};
 pub use reference::RefMachine;
 pub use report::{dump_netlist, minimize, parse_netlist, render_report, Mismatch};

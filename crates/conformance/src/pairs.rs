@@ -6,10 +6,6 @@
 //!
 //! * **`sim`** — `sim::comb`/`sim::seq` 64-lane kernels vs the naive
 //!   [`RefMachine`] interpreter, probed at four lanes.
-//! * **`fault`** — `fault::combsim`/`fault::seqsim` first-detection
-//!   indices vs a brute-force good-vs-forced reference run. The zero-fault
-//!   good machine is covered as a special case: every detection decision
-//!   compares the simulators' internal good machine against the reference.
 //! * **`bist`** — behavioral `Alfsr`/`Misr`/`fold_xor`/`HoldCycler`/
 //!   control unit/`BistEngine` vs the `bist::structural` netlists,
 //!   including a full `insert_bist` assembly run against a hand-rolled
@@ -17,11 +13,13 @@
 //! * **`p1500`** — the `TapDriver` protocol stack (WIR/WBY/WCDR/WDR
 //!   sequences) vs a directly-commanded backend, and `wrap_core`'s
 //!   boundary chain (WBR) vs a reference shift/update/capture model.
-//! * **`kernel`** — the compiled-SoA fault-sim engines
-//!   (`SimEngine::Kernel`) vs the graph-walking reference engines
-//!   (`SimEngine::Graph`) on shared stimulus: first-detection vectors,
-//!   syndrome streams, and per-window survivor trajectories must be
-//!   bit-identical across both observation modes.
+//! * **`kernel`** — the compiled-kernel fault simulators
+//!   (`fault::combsim`/`fault::seqsim`) vs the brute-force good-vs-forced
+//!   [`oracle`](crate::oracle) on shared stimulus: the kernel's good
+//!   machine lane by lane, then first-detection vectors, syndrome streams,
+//!   and per-window survivor trajectories for stuck-at (both observation
+//!   modes, with and without syndromes) and launch-on-capture transition
+//!   faults, on two combinational and two sequential circuits per seed.
 
 use soctest_bist::structural::BistSpec;
 use soctest_bist::{
@@ -29,10 +27,9 @@ use soctest_bist::{
     BitSource, ConstraintGenerator, ControlUnit, HoldCycler, Misr, ModuleHookup, PortWiring,
 };
 use soctest_fault::{
-    CombFaultSim, FaultKind, FaultUniverse, ObserveMode, ParallelPolicy, PatternSet, SeqFaultSim,
-    SeqFaultSimConfig, SimEngine, VectorStimulus,
+    CombFaultSim, FaultUniverse, ObserveMode, ParallelPolicy, PatternSet, SeqFaultSimConfig,
 };
-use soctest_netlist::{compile, Netlist};
+use soctest_netlist::{compile, NetId, Netlist};
 use soctest_p1500::{
     structural as p1500_structural, BistBackend, MockBackend, TapDriver, TapInstruction,
 };
@@ -40,11 +37,12 @@ use soctest_prng::SplitMix64;
 use soctest_sim::{CombSim, SeqSim, VcdProbe};
 
 use crate::generator::{random_netlist, GeneratorConfig};
+use crate::oracle::{brute_force, seq_check, Campaign};
 use crate::reference::{self, RefMachine};
 use crate::report::Mismatch;
 
-/// The five redundant engine pairs, in run order.
-pub const PAIR_NAMES: [&str; 5] = ["sim", "fault", "bist", "p1500", "kernel"];
+/// The four redundant engine pairs, in run order.
+pub const PAIR_NAMES: [&str; 4] = ["sim", "bist", "p1500", "kernel"];
 
 /// Lanes sampled out of the 64-lane words when comparing against the
 /// single-bit reference.
@@ -66,7 +64,6 @@ fn mask(width: usize) -> u64 {
 pub fn run_all_pairs(seed: u64, max_gates: usize) -> Vec<Mismatch> {
     let mut out = Vec::new();
     out.extend(pair_sim(seed, max_gates));
-    out.extend(pair_fault(seed, max_gates));
     out.extend(pair_bist(seed, max_gates));
     out.extend(pair_p1500(seed, max_gates));
     out.extend(pair_kernel(seed, max_gates));
@@ -91,7 +88,7 @@ pub fn comb_divergence(golden: &Netlist, candidate: &Netlist, probe_seed: u64) -
         for (net, w) in pis.iter().zip(&words) {
             sim.set(*net, *w);
         }
-        sim.eval(candidate);
+        sim.eval();
         for &lane in &LANES {
             let bits: Vec<bool> = words.iter().map(|w| (w >> lane) & 1 == 1).collect();
             let expect = reference::eval_comb(golden, &bits);
@@ -198,139 +195,6 @@ fn pair_sim(seed: u64, max_gates: usize) -> Vec<Mismatch> {
             pair: "sim",
             seed,
             detail: format!("seq: {d}"),
-        });
-    }
-    out
-}
-
-// -------------------------------------------------------------- pair: fault
-
-fn observed(rm: &RefMachine<'_>, observe: &[soctest_netlist::NetId]) -> Vec<bool> {
-    observe.iter().map(|n| rm.value(*n)).collect()
-}
-
-fn comb_fault_divergence(seed: u64, max_gates: usize) -> Option<String> {
-    let mut rng = rng_for(seed, 3);
-    let cfg = GeneratorConfig::sample(&mut rng, max_gates.min(40)).comb();
-    let nl = random_netlist(&mut rng, &cfg);
-    let universe = FaultUniverse::stuck_at(&nl);
-    let view = universe.view();
-    let width = view.input_width();
-    let rows: Vec<Vec<bool>> = (0..96)
-        .map(|_| (0..width).map(|_| rng.gen_bool(0.5)).collect())
-        .collect();
-    let patterns = PatternSet::from_rows(width, &rows);
-    let result = CombFaultSim::new(&universe)
-        .with_parallelism(ParallelPolicy::serial())
-        .run_stuck_at(&patterns)
-        .expect("comb fault sim");
-
-    let observe = universe.observe_nets().to_vec();
-    let faults = universe.faults();
-    let mut ref_det: Vec<Option<u64>> = vec![None; faults.len()];
-    let mut rm = RefMachine::new(view);
-    for (p, row) in rows.iter().enumerate() {
-        rm.clear_force();
-        rm.set_inputs(row);
-        rm.settle();
-        let good = observed(&rm, &observe);
-        for (fi, fault) in faults.iter().enumerate() {
-            if ref_det[fi].is_some() {
-                continue;
-            }
-            rm.force(fault.net, fault.kind == FaultKind::Sa1);
-            // Re-drive the inputs: a previous fault forced on an Input net
-            // leaves its stale value behind otherwise (Input gates hold
-            // whatever was last written).
-            rm.set_inputs(row);
-            rm.settle();
-            if observed(&rm, &observe) != good {
-                ref_det[fi] = Some(p as u64);
-            }
-            rm.clear_force();
-        }
-    }
-    for (fi, (got, expect)) in result.detection.iter().zip(&ref_det).enumerate() {
-        if got != expect {
-            return Some(format!(
-                "comb fault {fi} ({}): simulator={got:?} reference={expect:?}",
-                universe.describe(fi)
-            ));
-        }
-    }
-    None
-}
-
-fn seq_fault_divergence(seed: u64, max_gates: usize) -> Option<String> {
-    let mut rng = rng_for(seed, 4);
-    let cfg = GeneratorConfig::sample(&mut rng, max_gates.min(30));
-    let cfg = cfg.seq(&mut rng);
-    let nl = random_netlist(&mut rng, &cfg);
-    let universe = FaultUniverse::stuck_at(&nl);
-    let cycles = 24u64;
-    let width = nl.input_width();
-    let words: Vec<u64> = (0..cycles).map(|_| rng.next_u64() & mask(width)).collect();
-    let config = SeqFaultSimConfig {
-        window: 16,
-        observe: ObserveMode::Outputs,
-        collect_syndromes: false,
-        parallel: ParallelPolicy::serial(),
-        ..Default::default()
-    };
-    let result = SeqFaultSim::new(&universe, config)
-        .run(&mut VectorStimulus::new(words.clone()))
-        .expect("seq fault sim");
-
-    let view = universe.view();
-    let observe = universe.observe_nets().to_vec();
-    let input_bits =
-        |t: usize| -> Vec<bool> { (0..width).map(|i| (words[t] >> i) & 1 == 1).collect() };
-    let mut rm = RefMachine::new(view);
-    let mut good_trace: Vec<Vec<bool>> = Vec::new();
-    for t in 0..cycles as usize {
-        rm.set_inputs(&input_bits(t));
-        rm.settle();
-        good_trace.push(observed(&rm, &observe));
-        rm.clock();
-    }
-    for (fi, fault) in universe.faults().iter().enumerate() {
-        let mut fm = RefMachine::new(view);
-        fm.force(fault.net, fault.kind == FaultKind::Sa1);
-        let mut expect: Option<u64> = None;
-        for (t, good) in good_trace.iter().enumerate() {
-            fm.set_inputs(&input_bits(t));
-            fm.settle();
-            if &observed(&fm, &observe) != good {
-                expect = Some(t as u64);
-                break;
-            }
-            fm.clock();
-        }
-        if result.detection[fi] != expect {
-            return Some(format!(
-                "seq fault {fi} ({}): simulator={:?} reference={expect:?}",
-                universe.describe(fi),
-                result.detection[fi]
-            ));
-        }
-    }
-    None
-}
-
-fn pair_fault(seed: u64, max_gates: usize) -> Vec<Mismatch> {
-    let mut out = Vec::new();
-    if let Some(d) = comb_fault_divergence(seed, max_gates) {
-        out.push(Mismatch {
-            pair: "fault",
-            seed,
-            detail: d,
-        });
-    }
-    if let Some(d) = seq_fault_divergence(seed, max_gates) {
-        out.push(Mismatch {
-            pair: "fault",
-            seed,
-            detail: d,
         });
     }
     out
@@ -927,12 +791,14 @@ fn pair_p1500(seed: u64, max_gates: usize) -> Vec<Mismatch> {
 
 // ------------------------------------------------------------- pair: kernel
 
-/// Compares the compiled-kernel `CombFaultSim` engine on `candidate`
-/// against the graph-walking engine on `golden` under a shared pattern
-/// set, with syndrome collection on so post-detection events are checked
-/// too. With `golden == candidate` this is the plain conformance check;
-/// with a mutated candidate it is the detector the kernel mutation
-/// self-test validates.
+/// Checks the compiled-kernel `CombFaultSim` on `candidate` against the
+/// brute-force oracle on `golden` under a shared pattern set, with
+/// syndrome collection on so post-detection events are checked too: first
+/// stuck-at, then launch-on-capture transition faults with the first
+/// primary inputs fed back from the first primary outputs. With
+/// `golden == candidate` this is the plain conformance check; with a
+/// mutated candidate it is the detector the kernel mutation self-test
+/// validates.
 ///
 /// The good machine is compared first, lane by lane, against the tier-0
 /// bit-level reference. Fault detections alone are blind to some good
@@ -946,11 +812,8 @@ pub fn kernel_comb_divergence(
 ) -> Option<String> {
     assert_eq!(golden.input_width(), candidate.input_width());
     let mut rng = rng_for(probe_seed, 14);
-    let g_universe = FaultUniverse::stuck_at(golden);
-    let c_universe = FaultUniverse::stuck_at(candidate);
-    assert_eq!(g_universe.len(), c_universe.len());
     let width = golden.input_width();
-    let rows: Vec<Vec<bool>> = (0..72)
+    let rows: Vec<Vec<bool>> = (0..96)
         .map(|_| (0..width).map(|_| rng.gen_bool(0.5)).collect())
         .collect();
     let kernel = compile(candidate).expect("candidate compiles");
@@ -977,116 +840,107 @@ pub fn kernel_comb_divergence(
         }
     }
     let patterns = PatternSet::from_rows(width, &rows);
-    let run = |universe: &FaultUniverse, engine: SimEngine| {
-        CombFaultSim::new(universe)
-            .with_engine(engine)
-            .with_parallelism(ParallelPolicy::serial())
-            .with_syndromes()
-            .run_stuck_at(&patterns)
-            .expect("comb fault sim")
+    // Launch-on-capture feedback pairs (pseudo-input, pseudo-output).
+    let state_map = |u: &FaultUniverse| -> Vec<(NetId, NetId)> {
+        let view = u.view();
+        view.primary_inputs()
+            .into_iter()
+            .zip(view.primary_outputs())
+            .collect()
     };
-    let graph = run(&g_universe, SimEngine::Graph);
-    let kernel = run(&c_universe, SimEngine::Kernel);
-    for (fi, (g, k)) in graph.detection.iter().zip(&kernel.detection).enumerate() {
-        if g != k {
-            return Some(format!(
-                "comb fault {fi} ({}): graph={g:?} kernel={k:?}",
-                g_universe.describe(fi)
-            ));
+    for (what, build) in [
+        (
+            "stuck-at",
+            FaultUniverse::stuck_at as fn(&Netlist) -> FaultUniverse,
+        ),
+        ("transition", FaultUniverse::transition),
+    ] {
+        let g_universe = build(golden);
+        let c_universe = build(candidate);
+        assert_eq!(g_universe.len(), c_universe.len());
+        let transition = what == "transition";
+        let g_map = state_map(&g_universe);
+        for collect in [false, true] {
+            let reference = brute_force(
+                &g_universe,
+                Campaign::Comb {
+                    rows: &rows,
+                    state_map: transition.then_some(&g_map[..]),
+                },
+                collect,
+            );
+            let mut sim = CombFaultSim::new(&c_universe).with_parallelism(ParallelPolicy::serial());
+            if collect {
+                sim = sim.with_syndromes();
+            }
+            let got = if transition {
+                sim.run_transition(&patterns, &state_map(&c_universe))
+            } else {
+                sim.run_stuck_at(&patterns)
+            }
+            .expect("comb fault sim");
+            if let Err(d) = reference.check(&g_universe, &got) {
+                return Some(format!("comb {what} (syndromes: {collect}) {d}"));
+            }
         }
-    }
-    if graph.syndromes != kernel.syndromes {
-        return Some("comb: syndrome streams diverge".into());
     }
     None
 }
 
-/// Compares the kernel `SeqFaultSim` window engine on `candidate` against
-/// the graph engine on `golden` under shared stimulus, across both
-/// observation modes (per-cycle outputs and an off-boundary MISR read
-/// schedule), with and without syndrome collection.
-pub fn kernel_seq_divergence(
-    golden: &Netlist,
-    candidate: &Netlist,
-    probe_seed: u64,
-) -> Option<String> {
-    assert_eq!(golden.input_width(), candidate.input_width());
+/// Checks the kernel `SeqFaultSim` on `nl` against the brute-force oracle
+/// for stuck-at and transition faults across both observation modes
+/// (per-cycle outputs and an off-boundary MISR read schedule), with and
+/// without syndrome collection.
+fn kernel_seq_divergence(nl: &Netlist, probe_seed: u64) -> Option<String> {
     let mut rng = rng_for(probe_seed, 15);
-    let g_universe = FaultUniverse::stuck_at(golden);
-    let c_universe = FaultUniverse::stuck_at(candidate);
-    assert_eq!(g_universe.len(), c_universe.len());
-    let width = golden.input_width();
-    let cycles = 40u64;
-    let words: Vec<u64> = (0..cycles).map(|_| rng.next_u64() & mask(width)).collect();
+    let width = nl.input_width();
+    let rows: Vec<Vec<bool>> = (0..40)
+        .map(|_| (0..width).map(|_| rng.gen_bool(0.5)).collect())
+        .collect();
     // `read_every: 7` leaves the final read off the boundary grid, and
     // `window: 16` splits the run so window seams are exercised too.
-    let misr_width = golden.output_width().clamp(2, 16);
+    let misr_width = nl.output_width().clamp(2, 16);
     let modes: [(&str, ObserveMode, bool); 3] = [
         ("outputs", ObserveMode::Outputs, false),
         ("outputs+syndromes", ObserveMode::Outputs, true),
         ("misr", ObserveMode::misr_default(misr_width, 7), true),
     ];
-    for (what, observe, collect) in modes {
-        let run = |universe: &FaultUniverse, engine: SimEngine| {
+    let universes = [FaultUniverse::stuck_at(nl), FaultUniverse::transition(nl)];
+    universes.iter().find_map(|universe| {
+        modes.iter().find_map(|(what, observe, collect)| {
             let config = SeqFaultSimConfig {
                 window: 16,
                 observe: observe.clone(),
-                collect_syndromes: collect,
+                collect_syndromes: *collect,
                 parallel: ParallelPolicy::serial(),
-                engine,
                 ..Default::default()
             };
-            SeqFaultSim::new(universe, config)
-                .run(&mut VectorStimulus::new(words.clone()))
-                .expect("seq fault sim")
-        };
-        let graph = run(&g_universe, SimEngine::Graph);
-        let kernel = run(&c_universe, SimEngine::Kernel);
-        for (fi, (g, k)) in graph.detection.iter().zip(&kernel.detection).enumerate() {
-            if g != k {
-                return Some(format!(
-                    "seq {what} fault {fi} ({}): graph={g:?} kernel={k:?}",
-                    g_universe.describe(fi)
-                ));
-            }
-        }
-        if graph.syndromes != kernel.syndromes {
-            return Some(format!("seq {what}: syndrome streams diverge"));
-        }
-        if graph.stats.survivors != kernel.stats.survivors {
-            return Some(format!(
-                "seq {what}: survivor trajectories diverge (graph {:?} kernel {:?})",
-                graph.stats.survivors, kernel.stats.survivors
-            ));
-        }
-    }
-    None
+            seq_check(universe, &rows, config)
+                .err()
+                .map(|d| format!("seq {what} {d}"))
+        })
+    })
 }
 
 fn pair_kernel(seed: u64, max_gates: usize) -> Vec<Mismatch> {
-    let mut out = Vec::new();
-    let mut rng = rng_for(seed, 16);
-    let cfg = GeneratorConfig::sample(&mut rng, max_gates.min(60)).comb();
-    let nl = random_netlist(&mut rng, &cfg);
-    if let Some(d) = kernel_comb_divergence(&nl, &nl, seed) {
-        out.push(Mismatch {
+    let draw = |tag: u64, cap: usize, seq: bool| {
+        let mut rng = rng_for(seed, tag);
+        let cfg = GeneratorConfig::sample(&mut rng, max_gates.min(cap));
+        let cfg = if seq { cfg.seq(&mut rng) } else { cfg.comb() };
+        random_netlist(&mut rng, &cfg)
+    };
+    let comb = [draw(3, 40, false), draw(16, 60, false)];
+    let seq = [draw(4, 30, true), draw(17, 40, true)];
+    let comb = comb.iter().map(|nl| kernel_comb_divergence(nl, nl, seed));
+    let seq = seq.iter().map(|nl| kernel_seq_divergence(nl, seed));
+    comb.chain(seq)
+        .flatten()
+        .map(|detail| Mismatch {
             pair: "kernel",
             seed,
-            detail: d,
-        });
-    }
-    let mut rng = rng_for(seed, 17);
-    let cfg = GeneratorConfig::sample(&mut rng, max_gates.min(40));
-    let cfg = cfg.seq(&mut rng);
-    let nl = random_netlist(&mut rng, &cfg);
-    if let Some(d) = kernel_seq_divergence(&nl, &nl, seed) {
-        out.push(Mismatch {
-            pair: "kernel",
-            seed,
-            detail: d,
-        });
-    }
-    out
+            detail,
+        })
+        .collect()
 }
 
 #[cfg(test)]

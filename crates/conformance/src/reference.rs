@@ -7,33 +7,46 @@
 //! a bug would have to be reimplemented here, in a completely different
 //! style, to go unnoticed.
 //!
-//! A single optional *forced net* mimics a stuck-at fault: after every
-//! sweep the forced value is re-asserted, which matches how the fault
-//! simulators inject at a site (the site's own gate function is ignored,
-//! its fanout sees the forced value).
+//! A single optional *injected fault* rewrites one net's value every
+//! sweep, which matches how the fault simulators inject at a site (the
+//! site's fanout sees the faulty value):
+//!
+//! * stuck-at forces a constant, ignoring the site's own gate function;
+//! * a transition fault passes the site's value through on the first
+//!   cycle; afterwards slow-to-rise gives `cur && prev` and slow-to-fall
+//!   gives `cur || prev`, where `prev` is the site's faulty value on the
+//!   previous cycle (recorded at every [`RefMachine::clock`], or set
+//!   explicitly with [`RefMachine::set_prev`] for launch-on-capture).
 
-use std::collections::HashMap;
-
+use soctest_fault::{Fault, FaultKind};
 use soctest_netlist::{GateKind, NetId, Netlist};
 
-/// Naive single-bit interpreter with DFF state and an optional forced net.
+/// Naive single-bit interpreter with DFF state and an optional injected
+/// fault.
 #[derive(Debug, Clone)]
 pub struct RefMachine<'a> {
     nl: &'a Netlist,
     values: Vec<bool>,
     dffs: Vec<NetId>,
     dff_state: Vec<bool>,
-    dff_pos: HashMap<NetId, usize>,
+    /// Per net: its index into `dffs` (meaningful for DFF nets only).
+    dff_pos: Vec<usize>,
     inputs: Vec<NetId>,
     outputs: Vec<NetId>,
-    forced: Option<(NetId, bool)>,
+    fault: Option<Fault>,
+    /// The transition site's faulty value on the previous cycle; `None`
+    /// on the first cycle.
+    prev: Option<bool>,
 }
 
 impl<'a> RefMachine<'a> {
     /// Wraps `nl`; all nets and DFF states start at 0.
     pub fn new(nl: &'a Netlist) -> Self {
         let dffs = nl.dffs();
-        let dff_pos = dffs.iter().enumerate().map(|(i, &d)| (d, i)).collect();
+        let mut dff_pos = vec![usize::MAX; nl.len()];
+        for (i, d) in dffs.iter().enumerate() {
+            dff_pos[d.index()] = i;
+        }
         RefMachine {
             nl,
             values: vec![false; nl.len()],
@@ -42,24 +55,33 @@ impl<'a> RefMachine<'a> {
             dff_pos,
             inputs: nl.primary_inputs(),
             outputs: nl.primary_outputs(),
-            forced: None,
+            fault: None,
+            prev: None,
         }
     }
 
-    /// Clears all net values and DFF state (the forced net persists).
-    pub fn reset(&mut self) {
-        self.values.iter_mut().for_each(|v| *v = false);
-        self.dff_state.iter_mut().for_each(|v| *v = false);
+    /// Injects `fault` (replacing any earlier one), starting on its first
+    /// cycle.
+    pub fn inject(&mut self, fault: Fault) {
+        self.fault = Some(fault);
+        self.prev = None;
     }
 
-    /// Forces `net` to `value` (stuck-at injection).
-    pub fn force(&mut self, net: NetId, value: bool) {
-        self.forced = Some((net, value));
+    /// Sets the transition site's previous-cycle value (`None`: the first
+    /// cycle, which passes the value through).
+    pub fn set_prev(&mut self, prev: Option<bool>) {
+        self.prev = prev;
     }
 
-    /// Removes the forced net.
-    pub fn clear_force(&mut self) {
-        self.forced = None;
+    /// The injected fault's value at its site, given the fault-free `cur`.
+    fn faulty(&self, kind: FaultKind, cur: bool) -> bool {
+        match (kind, self.prev) {
+            (FaultKind::Sa0, _) => false,
+            (FaultKind::Sa1, _) => true,
+            (_, None) => cur,
+            (FaultKind::SlowToRise, Some(prev)) => cur && prev,
+            (FaultKind::SlowToFall, Some(prev)) => cur || prev,
+        }
     }
 
     /// Drives the primary inputs, port-declaration order.
@@ -86,7 +108,7 @@ impl<'a> RefMachine<'a> {
             GateKind::Input => self.values[id],
             GateKind::Const0 => false,
             GateKind::Const1 => true,
-            GateKind::Dff => self.dff_state[self.dff_pos[&NetId(id as u32)]],
+            GateKind::Dff => self.dff_state[self.dff_pos[id]],
             GateKind::Buf => pin(0),
             GateKind::Not => !pin(0),
             GateKind::And => pin(0) & pin(1),
@@ -112,9 +134,9 @@ impl<'a> RefMachine<'a> {
             let mut changed = false;
             for id in 0..self.nl.len() {
                 let mut next = self.eval_gate(id);
-                if let Some((f, v)) = self.forced {
-                    if f.index() == id {
-                        next = v;
+                if let Some(f) = self.fault {
+                    if f.net.index() == id {
+                        next = self.faulty(f.kind, next);
                     }
                 }
                 if next != self.values[id] {
@@ -129,7 +151,8 @@ impl<'a> RefMachine<'a> {
         unreachable!("combinational fixpoint did not converge");
     }
 
-    /// Clock edge: every DFF samples its `d` pin. Call [`settle`]
+    /// Clock edge: every DFF samples its `d` pin, and a transition site
+    /// remembers its value as the next cycle's `prev`. Call [`settle`]
     /// (`RefMachine::settle`) first so the sampled values are current.
     pub fn clock(&mut self) {
         let next: Vec<bool> = self
@@ -138,6 +161,9 @@ impl<'a> RefMachine<'a> {
             .map(|d| self.values[self.nl.gate(*d).pins[0].index()])
             .collect();
         self.dff_state = next;
+        if let Some(f) = self.fault {
+            self.prev = Some(self.values[f.net.index()]);
+        }
     }
 
     /// Convenience: settle then clock.
@@ -205,10 +231,42 @@ mod tests {
     }
 
     #[test]
+    fn transition_fault_holds_the_previous_value() {
+        let nl = xor_with_ff();
+        let x = NetId(2);
+        let mut m = RefMachine::new(&nl);
+        m.inject(Fault::new(x, FaultKind::SlowToRise));
+        // First cycle: the value passes through.
+        m.set_inputs(&[true, false]);
+        m.settle();
+        assert!(m.value(x));
+        m.clock();
+        // A fall is on time...
+        m.set_inputs(&[false, false]);
+        m.settle();
+        assert!(!m.value(x));
+        m.clock();
+        // ...but the rise is late: the site holds its previous 0.
+        m.set_inputs(&[true, false]);
+        m.settle();
+        assert!(!m.value(x));
+        // Launch-on-capture: an explicit launch value of 1 lets it rise.
+        m.set_prev(Some(true));
+        m.settle();
+        assert!(m.value(x));
+
+        m.inject(Fault::new(x, FaultKind::SlowToFall));
+        m.set_prev(Some(true));
+        m.set_inputs(&[false, false]);
+        m.settle();
+        assert!(m.value(x), "a slow fall holds the previous 1");
+    }
+
+    #[test]
     fn forced_net_overrides_logic() {
         let nl = xor_with_ff();
         let mut m = RefMachine::new(&nl);
-        m.force(NetId(2), true); // the Xor output stuck-at-1
+        m.inject(Fault::new(NetId(2), FaultKind::Sa1)); // the Xor output
         m.set_inputs(&[false, false]);
         m.settle();
         assert!(m.value(NetId(2)));

@@ -284,7 +284,7 @@ mod tests {
                 detail: "output bit 3 diverged at pattern 12 <&>".into(),
             },
             Mismatch {
-                pair: "fault",
+                pair: "kernel",
                 seed: 9,
                 detail: "detection count 4 vs 5".into(),
             },
@@ -292,7 +292,7 @@ mod tests {
         let html = render_html_report(25, 120, &mismatches, Some("difftest_min_seed7.nl"));
         assert!(soctest_obs::report::is_self_contained(&html));
         assert!(html.contains("Pair: sim"));
-        assert!(html.contains("Pair: fault"));
+        assert!(html.contains("Pair: kernel"));
         assert!(html.contains("&lt;&amp;&gt;"), "details are escaped");
         assert!(html.contains("difftest_min_seed7.nl"));
     }

@@ -55,12 +55,12 @@ pub fn mutation_self_test(seed: u64, max_gates: usize) -> MutationOutcome {
     }
 }
 
-/// Mutation self-test for the `kernel` pair: the graph engine simulates
-/// the original netlist, the compiled kernel simulates the mutant, and
-/// the differential must fire. The inverted output driver flips a primary
-/// output on every pattern, so the two engines' good machines (and with
-/// them every detection decision) disagree immediately — unless the pair
-/// harness itself is broken.
+/// Mutation self-test for the `kernel` pair: the brute-force oracle
+/// simulates the original netlist, the compiled kernel simulates the
+/// mutant, and the differential must fire. The inverted output driver
+/// flips a primary output on every pattern, so the kernel's good machine
+/// (and with it every detection decision) disagrees with the reference
+/// immediately — unless the pair harness itself is broken.
 pub fn kernel_mutation_self_test(seed: u64, max_gates: usize) -> MutationOutcome {
     let (original, mutant, site) = mutant_pair(seed, max_gates);
     let detected = kernel_comb_divergence(&original, &mutant, seed).is_some();

@@ -371,38 +371,6 @@ mod tests {
         assert!(c2 >= c0, "more patterns cannot lose coverage");
     }
 
-    /// The evaluation flow runs on the compiled kernel engine by default;
-    /// this pins the paper pipeline itself (case-study module, BIST
-    /// stimulus, MISR observation) to the graph oracle in the debug-mode
-    /// tier-1 suite — the release bench asserts the same on full budgets.
-    #[test]
-    fn evaluation_flow_is_engine_independent() {
-        use soctest_fault::{ObserveMode, SeqFaultSim, SeqFaultSimConfig, SimEngine};
-
-        let case = CaseStudy::paper().unwrap();
-        let universe = FaultUniverse::stuck_at(&case.modules()[2]);
-        let pgen = case.pattern_generator();
-        let run = |engine| {
-            let mut stim = pgen.stimulus(2, 64);
-            let sim = SeqFaultSim::new(
-                &universe,
-                SeqFaultSimConfig {
-                    observe: ObserveMode::misr_default(case.spec().misr_width, 8),
-                    collect_syndromes: true,
-                    engine,
-                    ..Default::default()
-                },
-            );
-            sim.run(&mut stim).unwrap()
-        };
-        let kernel = run(SimEngine::Kernel);
-        let graph = run(SimEngine::Graph);
-        assert!(kernel.detected_count() > 0);
-        assert_eq!(kernel.detection, graph.detection);
-        assert_eq!(kernel.syndromes, graph.syndromes);
-        assert_eq!(kernel.stats.survivors, graph.stats.survivors);
-    }
-
     #[test]
     fn step3_builds_class_statistics() {
         let case = CaseStudy::paper().unwrap();

@@ -1,30 +1,40 @@
-//! PPSFP combinational fault simulation (64 patterns per pass, single fault,
-//! event-driven forward propagation) — the engine behind the full-scan
-//! baseline of Table 3.
+//! PPSFP combinational fault simulation (parallel patterns, single fault)
+//! — the engine behind the full-scan baseline of Table 3.
 //!
-//! The good machine is evaluated once per 64-pattern block; the per-fault
-//! excite/propagate loop is then sharded across worker threads
-//! ([`ParallelPolicy`]), each with its own [`Propagator`] scratchpad.
-//! Shards are contiguous fault ranges, every fault sees the blocks in
-//! order, and detection/syndrome slots are disjoint per shard, so the
-//! parallel run is bit-identical to the serial one (first detection =
-//! lowest absolute pattern index).
+//! The good machine is widened to [`LANE_WORDS`] pattern blocks per pass
+//! (256 lanes) via [`CompiledNetlist::eval_wide`]; each fault then runs a
+//! **cone-of-influence sweep**: the compile-time cone table gives every
+//! gate the fault site can possibly disturb, and the sweep re-evaluates
+//! only those gates — in schedule order, reading undisturbed pins straight
+//! out of the cached good vector, and stamping a gate only when its faulty
+//! output actually deviates. Gates whose pins are all undisturbed are
+//! skipped without evaluation, so per-fault cost tracks the deviated
+//! frontier, not the cone size.
+//!
+//! The per-fault loop is sharded across worker threads
+//! ([`ParallelPolicy`]). Shards are contiguous fault ranges, every fault
+//! sees the blocks in order, and detection/syndrome slots are disjoint per
+//! shard, so the parallel run is bit-identical to the serial one. The
+//! bookkeeping is per 64-pattern block — skip rule, propagation counting,
+//! first-detection index (the lowest absolute pattern index), canonical
+//! (pattern, output) syndrome event order, and one window trace event per
+//! block — so results do not depend on how patterns group into 256-lane
+//! passes or resumed batches. Detections, syndromes and per-block
+//! survivors are checked against brute-force good-vs-forced runs of the
+//! naive reference interpreter (`RefMachine` in `crates/conformance`) by
+//! the `kernel` conformance pair.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
 use std::time::Instant;
 
-use soctest_netlist::{GateKind, NetId, Netlist, NetlistError};
+use soctest_netlist::{CompiledNetlist, NetId, NetlistError, LANE_WORDS};
 use soctest_obs::{ProfileHandle, TraceEvent, TraceHandle};
 
-use crate::{
-    FaultKind, FaultSimResult, FaultSimStats, FaultUniverse, ParallelPolicy, SimEngine, Syndrome,
-};
+use crate::{FaultKind, FaultSimResult, FaultSimStats, FaultUniverse, ParallelPolicy, Syndrome};
 
 /// A set of input patterns for a combinational view, stored bit-parallel:
 /// 64 patterns per block, one word per input position.
 ///
-/// Input positions follow [`Netlist::primary_inputs`] order of the fault
+/// Input positions follow [`soctest_netlist::Netlist::primary_inputs`] order of the fault
 /// view — for a scan view this means real primary inputs first, then the
 /// pseudo-primary inputs contributed by scan cells.
 #[derive(Debug, Clone, Default)]
@@ -100,7 +110,7 @@ impl PatternSet {
     }
 
     /// Lane mask of valid patterns within block `b`.
-    pub(crate) fn lane_mask(&self, b: usize) -> u64 {
+    fn lane_mask(&self, b: usize) -> u64 {
         let full = self.count / 64;
         if b < full {
             u64::MAX
@@ -171,12 +181,11 @@ impl CombCampaign {
 /// converted to pseudo-ports (see `soctest-atpg`).
 #[derive(Debug)]
 pub struct CombFaultSim<'a> {
-    pub(crate) universe: &'a FaultUniverse,
-    pub(crate) collect_syndromes: bool,
-    pub(crate) parallel: ParallelPolicy,
-    pub(crate) trace: TraceHandle,
-    pub(crate) profile: ProfileHandle,
-    pub(crate) engine: SimEngine,
+    universe: &'a FaultUniverse,
+    collect_syndromes: bool,
+    parallel: ParallelPolicy,
+    trace: TraceHandle,
+    profile: ProfileHandle,
 }
 
 impl<'a> CombFaultSim<'a> {
@@ -188,14 +197,7 @@ impl<'a> CombFaultSim<'a> {
             parallel: ParallelPolicy::default(),
             trace: TraceHandle::none(),
             profile: ProfileHandle::none(),
-            engine: SimEngine::default(),
         }
-    }
-
-    /// Selects the execution engine (default: [`SimEngine::Kernel`]).
-    pub fn with_engine(mut self, engine: SimEngine) -> Self {
-        self.engine = engine;
-        self
     }
 
     /// Attaches a trace handle: one `FaultSimWindow` event per 64-pattern
@@ -306,25 +308,32 @@ impl<'a> CombFaultSim<'a> {
         self.run(patterns, Some(state_map), campaign)
     }
 
+    /// Folds this run's scheduling-counter deltas into the profiler.
+    fn count_profile(&self, campaign: &CombCampaign, good0: u64, faulty0: u64, windows0: u64) {
+        if !self.profile.is_enabled() {
+            return;
+        }
+        self.profile.count("faults", self.universe.len() as u64);
+        self.profile
+            .count("good_cycles", campaign.stats.good_cycles - good0);
+        self.profile
+            .count("faulty_cycles", campaign.stats.faulty_cycles - faulty0);
+        self.profile
+            .count("windows", campaign.stats.windows - windows0);
+    }
+
+    /// The body of every stuck-at / transition run and resume: simulates
+    /// `patterns` (with the launch-on-capture `transition` state map, if
+    /// any) and folds the results into `campaign`.
     fn run(
         &self,
         patterns: &PatternSet,
         transition: Option<&[(NetId, NetId)]>,
         campaign: &mut CombCampaign,
     ) -> Result<(), NetlistError> {
-        match self.engine {
-            SimEngine::Kernel => self.run_kernel(patterns, transition, campaign),
-            SimEngine::Graph => self.run_graph(patterns, transition, campaign),
-        }
-    }
-
-    fn run_graph(
-        &self,
-        patterns: &PatternSet,
-        transition: Option<&[(NetId, NetId)]>,
-        campaign: &mut CombCampaign,
-    ) -> Result<(), NetlistError> {
+        const W: usize = LANE_WORDS;
         let start = Instant::now();
+        let kernel = self.universe.kernel()?;
         let view = self.universe.view();
         let faults = self.universe.faults();
         let pis = view.primary_inputs();
@@ -338,29 +347,23 @@ impl<'a> CombFaultSim<'a> {
             faults.len(),
             "campaign state size"
         );
-        let order = view.levelize()?;
-        let mut pos = vec![0u32; view.len()];
-        for (i, &id) in order.iter().enumerate() {
-            pos[id.index()] = i as u32 + 1;
-        }
-        let fanouts = view.fanouts();
         let obs = self.universe.observe_nets();
 
-        let mut values = vec![0u64; view.len()];
-        for (id, gate) in view.iter() {
-            if gate.kind == GateKind::Const1 {
-                values[id.index()] = u64::MAX;
-            }
+        let mut values = vec![0u64; kernel.nets() * W];
+        for &c in kernel.const1() {
+            values[c as usize * W..(c as usize + 1) * W].fill(u64::MAX);
         }
-        let mut launch = vec![0u64; view.len()];
+        let mut launch = vec![0u64; kernel.nets() * W];
 
         let nthreads = self.parallel.workers_for(faults.len());
         campaign.stats.threads = nthreads;
         let collect = self.collect_syndromes;
         let offset = campaign.applied;
 
-        let mut scratches: Vec<Propagator> =
-            (0..nthreads).map(|_| Propagator::new(view.len())).collect();
+        // Building the scratches forces the cone table before any worker
+        // threads touch it.
+        let mut scratches: Vec<ConeScratch> =
+            (0..nthreads).map(|_| ConeScratch::new(&kernel)).collect();
         let mut empty_syndromes: Vec<Syndrome> = Vec::new();
 
         let (good0, faulty0, windows0) = (
@@ -368,24 +371,37 @@ impl<'a> CombFaultSim<'a> {
             campaign.stats.faulty_cycles,
             campaign.stats.windows,
         );
-        for (b, block) in patterns.blocks().iter().enumerate() {
-            let mask = patterns.lane_mask(b);
-            let base = offset + b as u64 * 64;
+        let blocks = patterns.blocks();
+        for g in 0..blocks.len().div_ceil(W) {
+            let b0 = g * W;
+            let gw = W.min(blocks.len() - b0);
+            let mut masks = [0u64; LANE_WORDS];
+            for (w, m) in masks.iter_mut().enumerate().take(gw) {
+                *m = patterns.lane_mask(b0 + w);
+            }
+            let base0 = offset + b0 as u64 * 64;
+
             {
-                // Good evaluation (launch pass for transition mode).
+                // Good evaluation, 256 lanes at once (launch pass for
+                // transition mode). Unused trailing words idle at zero.
                 let _p = self.profile.scope("good_trace");
                 for (i, &pi) in pis.iter().enumerate() {
-                    values[pi.index()] = block[i];
+                    let slot = pi.index() * W;
+                    for w in 0..W {
+                        values[slot + w] = if w < gw { blocks[b0 + w][i] } else { 0 };
+                    }
                 }
-                eval_all(view, &order, &mut values);
-                campaign.stats.good_cycles += 1;
+                kernel.eval_wide(&mut values);
+                campaign.stats.good_cycles += gw as u64;
                 if let Some(map) = transition {
                     launch.copy_from_slice(&values);
                     for &(ppi, ppo) in map {
-                        values[ppi.index()] = launch[ppo.index()];
+                        for w in 0..W {
+                            values[ppi.index() * W + w] = launch[ppo.index() * W + w];
+                        }
                     }
-                    eval_all(view, &order, &mut values);
-                    campaign.stats.good_cycles += 1;
+                    kernel.eval_wide(&mut values);
+                    campaign.stats.good_cycles += gw as u64;
                 }
             }
 
@@ -395,29 +411,28 @@ impl<'a> CombFaultSim<'a> {
                 None => &mut empty_syndromes,
             };
             let propagations = if nthreads == 1 {
-                simulate_block(
-                    view,
-                    &pos,
-                    &fanouts,
+                simulate_group(
+                    &kernel,
                     obs,
                     faults,
                     &values,
                     &launch,
-                    mask,
-                    base,
+                    &masks,
+                    gw,
+                    base0,
                     &mut campaign.detection,
                     syndromes,
                     collect,
                     &mut scratches[0],
                 )
             } else {
-                // Shard the fault range contiguously; detection/syndrome
-                // slots are disjoint per shard, so workers write directly.
+                // Contiguous fault shards: disjoint detection/syndrome
+                // slots per worker, deterministic sum.
                 let shard = faults.len().div_ceil(nthreads);
+                let kernel_ref = &kernel;
                 let values_ref: &[u64] = &values;
                 let launch_ref: &[u64] = &launch;
-                let fanouts_ref = &fanouts;
-                let pos_ref: &[u32] = &pos;
+                let masks_ref = &masks;
                 std::thread::scope(|s| {
                     let mut handles = Vec::with_capacity(nthreads);
                     let det_shards = campaign.detection.chunks_mut(shard);
@@ -434,16 +449,15 @@ impl<'a> CombFaultSim<'a> {
                             None => &mut [],
                         };
                         handles.push(s.spawn(move || {
-                            simulate_block(
-                                view,
-                                pos_ref,
-                                fanouts_ref,
+                            simulate_group(
+                                kernel_ref,
                                 obs,
                                 fault_shard,
                                 values_ref,
                                 launch_ref,
-                                mask,
-                                base,
+                                masks_ref,
+                                gw,
+                                base0,
                                 det,
                                 syn_shard,
                                 collect,
@@ -460,19 +474,36 @@ impl<'a> CombFaultSim<'a> {
             drop(eval_scope);
             let _p = self.profile.scope("merge");
             campaign.stats.faulty_cycles += propagations;
-            let survivors = campaign.detection.iter().filter(|d| d.is_none()).count();
-            self.trace.emit(
-                base + u64::from(mask.count_ones()),
-                TraceEvent::FaultSimWindow {
-                    index: campaign.stats.windows,
-                    start_cycle: base,
-                    length: u64::from(mask.count_ones()),
-                    chunks: nthreads as u64,
-                    survivors: survivors as u64,
-                },
-            );
-            campaign.stats.windows += 1;
-            campaign.stats.survivors.push(survivors);
+
+            // One window trace event per 64-pattern block. The survivor
+            // count after block `b` is recoverable from the final detection
+            // array because detection indices are absolute: a fault still
+            // survives block `b` iff it is undetected or first detected at
+            // a later pattern index.
+            for (w, &mask) in masks.iter().enumerate().take(gw) {
+                let base = base0 + w as u64 * 64;
+                let boundary = base + 64;
+                let survivors = campaign
+                    .detection
+                    .iter()
+                    .filter(|d| match d {
+                        None => true,
+                        Some(x) => *x >= boundary,
+                    })
+                    .count();
+                self.trace.emit(
+                    base + u64::from(mask.count_ones()),
+                    TraceEvent::FaultSimWindow {
+                        index: campaign.stats.windows,
+                        start_cycle: base,
+                        length: u64::from(mask.count_ones()),
+                        chunks: nthreads as u64,
+                        survivors: survivors as u64,
+                    },
+                );
+                campaign.stats.windows += 1;
+                campaign.stats.survivors.push(survivors);
+            }
         }
 
         self.count_profile(campaign, good0, faulty0, windows0);
@@ -480,211 +511,191 @@ impl<'a> CombFaultSim<'a> {
         campaign.stats.wall += start.elapsed();
         Ok(())
     }
+}
 
-    /// Folds this run's scheduling-counter deltas into the profiler
-    /// (shared by the graph and kernel paths).
-    pub(crate) fn count_profile(
-        &self,
-        campaign: &CombCampaign,
-        good0: u64,
-        faulty0: u64,
-        windows0: u64,
-    ) {
-        if !self.profile.is_enabled() {
-            return;
+/// Per-worker scratch for the cone sweep: faulty value words, per-net epoch
+/// stamps (monotone — never cleared), and the cone bitset buffer.
+struct ConeScratch {
+    fvals: Vec<u64>,
+    stamp: Vec<u64>,
+    epoch: u64,
+    cone: Vec<u64>,
+}
+
+impl ConeScratch {
+    fn new(kernel: &CompiledNetlist) -> Self {
+        ConeScratch {
+            fvals: vec![0u64; kernel.nets() * LANE_WORDS],
+            stamp: vec![0u64; kernel.nets()],
+            epoch: 0,
+            cone: vec![0u64; kernel.cones().words()],
         }
-        self.profile.count("faults", self.universe.len() as u64);
-        self.profile
-            .count("good_cycles", campaign.stats.good_cycles - good0);
-        self.profile
-            .count("faulty_cycles", campaign.stats.faulty_cycles - faulty0);
-        self.profile
-            .count("windows", campaign.stats.windows - windows0);
     }
 }
 
-/// Simulates one 64-pattern block for a contiguous shard of faults.
-/// `detection[i]`/`syndromes[i]` correspond to `faults[i]`; `base` is the
-/// absolute pattern index of lane 0. Returns the number of propagation
-/// passes performed (the faulty-machine work counter).
+/// Simulates one [`LANE_WORDS`]-block group for a contiguous shard of
+/// faults via the cone-of-influence sweep. Word `w` of the group is block
+/// `b0 + w`; returns the propagation count (the faulty-machine work
+/// counter: one pass per fault and excited block).
 #[allow(clippy::too_many_arguments)]
-fn simulate_block(
-    view: &Netlist,
-    pos: &[u32],
-    fanouts: &[Vec<(NetId, u8)>],
+fn simulate_group(
+    kernel: &CompiledNetlist,
     obs: &[NetId],
     faults: &[crate::Fault],
     values: &[u64],
     launch: &[u64],
-    mask: u64,
-    base: u64,
+    masks: &[u64; LANE_WORDS],
+    gw: usize,
+    base0: u64,
     detection: &mut [Option<u64>],
     syndromes: &mut [Syndrome],
     collect: bool,
-    scratch: &mut Propagator,
+    scratch: &mut ConeScratch,
 ) -> u64 {
+    const W: usize = LANE_WORDS;
     let mut propagations = 0u64;
+    let mut devs: Vec<(u64, [u64; W])> = Vec::new();
     for (fi, fault) in faults.iter().enumerate() {
         if detection[fi].is_some() && !collect {
             continue;
         }
-        let site = fault.net;
-        let good = values[site.index()];
-        let faulty = match fault.kind {
-            FaultKind::Sa0 => 0,
-            FaultKind::Sa1 => u64::MAX,
-            // Excited where launch=0 and capture=1; holds the launch 0.
-            FaultKind::SlowToRise => good & launch[site.index()],
-            FaultKind::SlowToFall => good | launch[site.index()],
-        };
-        let excite = (good ^ faulty) & mask;
-        if excite == 0 {
+        let site = fault.net.0 as usize;
+        let mut fword = [0u64; W];
+        let mut excite = [0u64; W];
+        let mut any = 0u64;
+        for w in 0..gw {
+            let good = values[site * W + w];
+            let faulty = match fault.kind {
+                FaultKind::Sa0 => 0,
+                FaultKind::Sa1 => u64::MAX,
+                // Excited where launch=0 and capture=1; holds the launch 0.
+                FaultKind::SlowToRise => good & launch[site * W + w],
+                FaultKind::SlowToFall => good | launch[site * W + w],
+            };
+            fword[w] = faulty;
+            excite[w] = (good ^ faulty) & masks[w];
+            any |= excite[w];
+        }
+        if any == 0 {
             continue;
         }
-        propagations += 1;
-        let det = scratch.propagate(
-            view,
-            pos,
-            fanouts,
-            values,
-            site,
-            faulty,
-            obs,
-            mask,
+
+        // Cone sweep: stamp the site, then re-evaluate downstream gates in
+        // schedule order. A gate with no stamped pin cannot deviate and is
+        // skipped; a gate is stamped only when some word deviates, so
+        // unstamped reads always fall back to the good vector.
+        scratch.epoch += 1;
+        let epoch = scratch.epoch;
+        scratch.stamp[site] = epoch;
+        scratch.fvals[site * W..site * W + gw].copy_from_slice(&fword[..gw]);
+        kernel.cone_of_net_into(fault.net.0, &mut scratch.cone);
+        for wi in 0..scratch.cone.len() {
+            let mut rem = scratch.cone[wi];
+            while rem != 0 {
+                let b = rem.trailing_zeros() as usize;
+                rem &= rem - 1;
+                let p = wi * 64 + b;
+                let [a, bb, cc] = kernel.op_pins(p);
+                let (a, bb, cc) = (a as usize, bb as usize, cc as usize);
+                let sa = scratch.stamp[a] == epoch;
+                let sb = scratch.stamp[bb] == epoch;
+                let sc = scratch.stamp[cc] == epoch;
+                if !(sa || sb || sc) {
+                    continue;
+                }
+                let out = kernel.op_out(p) as usize;
+                let mut ws = [0u64; W];
+                let mut dev = false;
+                for k in 0..gw {
+                    let va = if sa {
+                        scratch.fvals[a * W + k]
+                    } else {
+                        values[a * W + k]
+                    };
+                    let vb = if sb {
+                        scratch.fvals[bb * W + k]
+                    } else {
+                        values[bb * W + k]
+                    };
+                    let vc = if sc {
+                        scratch.fvals[cc * W + k]
+                    } else {
+                        values[cc * W + k]
+                    };
+                    let v = kernel.eval_pins(p, [va, vb, vc]);
+                    ws[k] = v;
+                    dev |= v != values[out * W + k];
+                }
+                if dev {
+                    scratch.fvals[out * W..out * W + gw].copy_from_slice(&ws[..gw]);
+                    scratch.stamp[out] = epoch;
+                }
+            }
+        }
+
+        // Observation: only stamped nets can deviate; `oi` order is the
+        // syndrome event order.
+        let mut det = [0u64; W];
+        devs.clear();
+        for (oi, &o) in obs.iter().enumerate() {
+            let on = o.index();
+            if scratch.stamp[on] != epoch {
+                continue;
+            }
+            let mut d = [0u64; W];
+            let mut anyd = 0u64;
+            for k in 0..gw {
+                d[k] = (scratch.fvals[on * W + k] ^ values[on * W + k]) & masks[k];
+                anyd |= d[k];
+            }
+            if anyd != 0 {
+                for k in 0..gw {
+                    det[k] |= d[k];
+                }
+                if collect {
+                    devs.push((oi as u64, d));
+                }
+            }
+        }
+
+        // Word-sequential bookkeeping in per-block order: the skip rule
+        // sees detections from earlier words, the propagation counter
+        // counts one pass per excited block, and syndrome events stream in
+        // canonical (absolute pattern, output) order.
+        for k in 0..gw {
+            if detection[fi].is_some() && !collect {
+                continue;
+            }
+            if excite[k] == 0 {
+                continue;
+            }
+            propagations += 1;
+            let base = base0 + k as u64 * 64;
             if collect {
-                Some((&mut syndromes[fi], base))
-            } else {
-                None
-            },
-        );
-        if det != 0 && detection[fi].is_none() {
-            let lane = det.trailing_zeros() as u64;
-            detection[fi] = Some(base + lane);
+                let syn = &mut syndromes[fi];
+                let mut lanes = det[k];
+                while lanes != 0 {
+                    let lane = lanes.trailing_zeros() as u64;
+                    lanes &= lanes - 1;
+                    for &(oi, d) in &devs {
+                        if (d[k] >> lane) & 1 == 1 {
+                            syn.record(base + lane, oi);
+                        }
+                    }
+                }
+            }
+            if det[k] != 0 && detection[fi].is_none() {
+                detection[fi] = Some(base + u64::from(det[k].trailing_zeros()));
+            }
         }
     }
     propagations
 }
 
-fn eval_all(view: &Netlist, order: &[NetId], values: &mut [u64]) {
-    let mut pins = [0u64; 3];
-    for &id in order {
-        let gate = view.gate(id);
-        for (i, &p) in gate.pins.iter().enumerate() {
-            pins[i] = values[p.index()];
-        }
-        values[id.index()] = gate.kind.eval_word(&pins[..gate.pins.len()]);
-    }
-}
-
-/// Event-driven single-fault forward propagation scratchpad.
-#[derive(Debug)]
-struct Propagator {
-    delta: HashMap<u32, u64>,
-    visited: Vec<bool>,
-    touched: Vec<u32>,
-    queue: BinaryHeap<Reverse<(u32, u32)>>,
-}
-
-impl Propagator {
-    fn new(nets: usize) -> Self {
-        Propagator {
-            delta: HashMap::new(),
-            visited: vec![false; nets],
-            touched: Vec::new(),
-            queue: BinaryHeap::new(),
-        }
-    }
-
-    /// Propagates a faulty word at `site` forward; returns the lane mask of
-    /// patterns whose deviation reaches an observation net. Syndrome events
-    /// are recorded as `(base + lane, output)` — absolute pattern indices.
-    #[allow(clippy::too_many_arguments)]
-    fn propagate(
-        &mut self,
-        view: &Netlist,
-        pos: &[u32],
-        fanouts: &[Vec<(NetId, u8)>],
-        good: &[u64],
-        site: NetId,
-        faulty: u64,
-        obs: &[NetId],
-        mask: u64,
-        mut syndrome: Option<(&mut Syndrome, u64)>,
-    ) -> u64 {
-        self.delta.clear();
-        for &t in &self.touched {
-            self.visited[t as usize] = false;
-        }
-        self.touched.clear();
-        self.queue.clear();
-
-        self.delta.insert(site.0, faulty);
-        for &(sink, _) in &fanouts[site.index()] {
-            self.enqueue(sink, pos);
-        }
-        let mut pins = [0u64; 3];
-        while let Some(Reverse((_, net))) = self.queue.pop() {
-            let id = NetId(net);
-            let gate = view.gate(id);
-            if gate.kind.is_source() {
-                continue;
-            }
-            for (i, &p) in gate.pins.iter().enumerate() {
-                pins[i] = *self.delta.get(&p.0).unwrap_or(&good[p.index()]);
-            }
-            let w = gate.kind.eval_word(&pins[..gate.pins.len()]);
-            if w != good[id.index()] {
-                self.delta.insert(net, w);
-                for &(sink, _) in &fanouts[id.index()] {
-                    self.enqueue(sink, pos);
-                }
-            }
-        }
-
-        let mut detected = 0u64;
-        let mut devs: Vec<(u64, u64)> = Vec::new();
-        for (oi, &o) in obs.iter().enumerate() {
-            if let Some(&w) = self.delta.get(&o.0) {
-                let diff = (w ^ good[o.index()]) & mask;
-                if diff != 0 {
-                    detected |= diff;
-                    if syndrome.is_some() {
-                        devs.push((oi as u64, diff));
-                    }
-                }
-            }
-        }
-        if let Some((syn, base)) = syndrome.as_mut() {
-            // One event per deviating pattern and output, in canonical
-            // (absolute pattern, output) order so a campaign split into
-            // arbitrary batches streams the events identically.
-            let mut lanes = detected;
-            while lanes != 0 {
-                let lane = lanes.trailing_zeros() as u64;
-                lanes &= lanes - 1;
-                for &(oi, diff) in &devs {
-                    if (diff >> lane) & 1 == 1 {
-                        syn.record(*base + lane, oi);
-                    }
-                }
-            }
-        }
-        detected
-    }
-
-    fn enqueue(&mut self, sink: NetId, pos: &[u32]) {
-        if !self.visited[sink.index()] {
-            self.visited[sink.index()] = true;
-            self.touched.push(sink.0);
-            self.queue.push(Reverse((pos[sink.index()], sink.0)));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use soctest_netlist::ModuleBuilder;
+    use soctest_netlist::{ModuleBuilder, Netlist};
 
     /// A redundancy-free full adder: every collapsed fault is testable.
     fn comb_block() -> Netlist {

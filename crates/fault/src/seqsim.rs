@@ -1,35 +1,52 @@
 //! Parallel-fault sequential fault simulation.
 //!
-//! Up to 64 faulty machines share the 64 lanes of the bit-parallel
-//! simulation kernel: lane *i* carries machine *i*'s deviation. All machines
-//! receive the same per-cycle stimulus — exactly the situation of a BIST
-//! run, where the pattern generator feeds every module one pattern per
-//! clock.
+//! Up to 64 faulty machines share the 64 lanes of a word: lane *i* carries
+//! machine *i*'s deviation from the good machine. All machines receive the
+//! same per-cycle stimulus — exactly the situation of a BIST run, where the
+//! pattern generator feeds every module one pattern per clock.
 //!
 //! Simulation proceeds in *windows*: the good machine's trajectory over the
-//! window (observation values, MISR signatures at read boundaries, and the
-//! next flip-flop state) is computed **once**, then every 64-fault lane
-//! chunk is simulated against that trace. Chunks are independent, so they
-//! are sharded across a scoped worker pool ([`ParallelPolicy`]); per-chunk
-//! detections and syndrome events are merged in chunk order, which makes a
-//! `threads: N` run bit-identical to `threads: 1`. After each window,
-//! detected faults are dropped and the survivors (which carry their
-//! flip-flop state, their MISR state, and the previous value of their fault
-//! site for transition faults) are repacked into fewer, denser lane groups.
-//! Random patterns detect most faults early, so the survivor tail is short
-//! and the windowed schedule approaches good-machine-only cost.
+//! window (every net's value per cycle as a packed bitmap, MISR signatures
+//! at read boundaries, and the next flip-flop state) is computed **once**
+//! on the compiled kernel, then every 64-fault lane chunk is simulated
+//! against that trace. Chunks are independent, so they are sharded across a
+//! scoped worker pool ([`ParallelPolicy`]); per-chunk detections and
+//! syndrome events are merged in chunk order, which makes a `threads: N`
+//! run bit-identical to `threads: 1`. After each window, detected faults
+//! are dropped and the survivors (which carry their flip-flop state, their
+//! MISR state, and the previous value of their fault site for transition
+//! faults) are repacked into fewer, denser lane groups. Random patterns
+//! detect most faults early, so the survivor tail is short and the
+//! windowed schedule approaches good-machine-only cost.
+//!
+//! A chunk re-evaluates incrementally against the cached good trace: each
+//! cycle starts from the good row and sweeps only the gates that can
+//! actually deviate — seeded from the injection sites and from flip-flops
+//! whose lane word differs from the good machine, expanding along the
+//! kernel's scheduled fanout lists in topological order. Every net the
+//! sweep never touches holds the good value by construction. Sequential
+//! state is tracked just as sparsely: a bitmap marks the deviating
+//! flip-flops, and the clock edge only visits flip-flops whose `d` net was
+//! stored with a deviation this cycle (via the kernel's sequential-sink
+//! CSR) — so per-cycle chunk cost follows the size of the deviated region,
+//! not the size of the netlist.
+//!
+//! Detections, syndrome streams and per-window survivors are checked
+//! against brute-force good-vs-forced runs of the naive reference
+//! interpreter (`RefMachine` in `crates/conformance`): the `kernel`
+//! conformance pair on generated netlists, and `repro --bench-faultsim` on
+//! the case-study modules.
 
 use std::collections::HashMap;
 use std::time::Instant;
 
-use soctest_netlist::{GateKind, NetId, Netlist, NetlistError};
+use soctest_netlist::{CompiledNetlist, NetId, NetlistError};
 use soctest_obs::{ProfileHandle, TraceEvent, TraceHandle};
 
-use crate::seqkernel::KernelEngine;
 use crate::stimulus::StimulusMatrix;
 use crate::{
     Fault, FaultKind, FaultSimResult, FaultSimStats, FaultUniverse, ParallelPolicy, SeqStimulus,
-    SimEngine, Syndrome,
+    Syndrome,
 };
 
 /// How fault effects are observed.
@@ -80,7 +97,8 @@ impl ObserveMode {
 /// Configuration for [`SeqFaultSim`].
 #[derive(Debug, Clone)]
 pub struct SeqFaultSimConfig {
-    /// Window length in cycles between fault-dropping/repacking points.
+    /// Window length in cycles between fault-dropping/repacking points
+    /// (0 is treated as 1).
     pub window: u64,
     /// Observation mode.
     pub observe: ObserveMode,
@@ -97,9 +115,6 @@ pub struct SeqFaultSimConfig {
     /// phase attribution plus cycle counters, recorded from the
     /// coordinating thread (disabled by default).
     pub profile: ProfileHandle,
-    /// Execution engine (default: the compiled SoA kernel; the graph
-    /// walker remains available as the conformance oracle).
-    pub engine: SimEngine,
 }
 
 impl Default for SeqFaultSimConfig {
@@ -111,7 +126,6 @@ impl Default for SeqFaultSimConfig {
             parallel: ParallelPolicy::default(),
             trace: TraceHandle::none(),
             profile: ProfileHandle::none(),
-            engine: SimEngine::default(),
         }
     }
 }
@@ -126,75 +140,67 @@ pub struct SeqFaultSim<'a> {
 }
 
 #[derive(Debug, Clone)]
-pub(crate) struct ActiveFault {
-    pub(crate) idx: usize,
+struct ActiveFault {
+    idx: usize,
     /// Packed state: flip-flop bits, then the fault site's previous value
     /// (for transition faults), then MISR stage bits.
-    pub(crate) state: Vec<u64>,
+    state: Vec<u64>,
 }
 
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct InjEntry {
-    pub(crate) lane: u8,
-    pub(crate) kind: FaultKind,
-    pub(crate) prev: bool,
+struct InjEntry {
+    lane: u8,
+    kind: FaultKind,
+    prev: bool,
 }
 
 /// The good machine's trajectory over one window, computed once and shared
 /// (read-only) by every fault chunk.
-pub(crate) struct GoodTrace {
-    /// Packed observation values: bit `oi` of cycle `t` (window-relative)
-    /// lives at word `t * obs_words + oi / 64`. Empty in MISR mode and
-    /// under the kernel engine (which reads `net_bits` instead).
-    pub(crate) obs: Vec<u64>,
-    pub(crate) obs_words: usize,
+struct GoodTrace {
     /// Good MISR signature at each read boundary inside the window, in
     /// boundary order, paired with `(cycle, read_idx)`. Read indices are
     /// assigned by a monotone counter — the single source of truth for the
     /// read schedule that the chunk loops replay.
-    pub(crate) sigs: Vec<(u64, u64, u64)>,
+    sigs: Vec<(u64, u64, u64)>,
     /// Good flip-flop + MISR state at window end (packed like
     /// `ActiveFault::state`).
-    pub(crate) next_state: Vec<u64>,
-    /// Kernel engine only: the full good value of every net at every cycle
-    /// (post-eval, pre-clock), bit-packed per cycle — net `n` of cycle `t`
-    /// is bit `n % 64` of word `t * net_words + n / 64`, broadcast to a
-    /// 64-lane word on read. Chunks overlay XOR deviations on these rows,
-    /// so every net the deviation sweep never touches provably holds the
-    /// good value. Empty under the graph engine.
-    pub(crate) net_bits: Vec<u64>,
-    pub(crate) net_words: usize,
+    next_state: Vec<u64>,
+    /// The full good value of every net at every cycle (post-eval,
+    /// pre-clock), bit-packed per cycle — net `n` of cycle `t` is bit
+    /// `n % 64` of word `t * net_words + n / 64`, broadcast to a 64-lane
+    /// word on read. Chunks overlay XOR deviations on these rows, so every
+    /// net the deviation sweep never touches provably holds the good value.
+    net_bits: Vec<u64>,
+    net_words: usize,
 }
 
 /// Per-chunk results produced by a worker: merged serially in chunk order.
 #[derive(Default)]
-pub(crate) struct ChunkOut {
+struct ChunkOut {
     /// `(fault index, first in-window detection cycle)`.
-    pub(crate) detections: Vec<(usize, u64)>,
+    detections: Vec<(usize, u64)>,
     /// `(fault index, when, what)` syndrome events in generation order.
-    pub(crate) events: Vec<(usize, u64, u64)>,
+    events: Vec<(usize, u64, u64)>,
 }
 
 /// Read-only context shared by the good pass and every fault chunk.
-pub(crate) struct WindowCtx<'b> {
-    pub(crate) view: &'b Netlist,
-    pub(crate) order: &'b [NetId],
-    pub(crate) dff_pairs: &'b [(NetId, NetId)],
-    pub(crate) pis: &'b [NetId],
-    pub(crate) obs: &'b [NetId],
-    pub(crate) stim: &'b StimulusMatrix,
-    pub(crate) faults: &'b [Fault],
-    pub(crate) misr_width: usize,
-    pub(crate) misr_taps: u64,
-    pub(crate) misr_read: u64,
-    pub(crate) total_cycles: u64,
-    pub(crate) ndff: usize,
-    pub(crate) collect: bool,
+struct WindowCtx<'b> {
+    kernel: &'b CompiledNetlist,
+    pis: &'b [NetId],
+    obs: &'b [NetId],
+    stim: &'b StimulusMatrix,
+    faults: &'b [Fault],
+    misr_width: usize,
+    misr_taps: u64,
+    misr_read: u64,
+    total_cycles: u64,
+    ndff: usize,
+    collect: bool,
 }
 
 /// Overlays a net's 64-lane word with every fault injected at that net.
 /// Transition faults remember the site's previous-cycle value in `prev`.
-pub(crate) fn apply(w: u64, entries: &mut [InjEntry], first_ever: bool) -> u64 {
+fn apply(w: u64, entries: &mut [InjEntry], first_ever: bool) -> u64 {
     let mut out = w;
     for e in entries.iter_mut() {
         let m = 1u64 << e.lane;
@@ -222,37 +228,11 @@ pub(crate) fn apply(w: u64, entries: &mut [InjEntry], first_ever: bool) -> u64 {
     out
 }
 
-/// One levelized pass over the combinational cloud with inline fault
-/// injection — the inner loop every fault chunk spends its cycles in.
-#[allow(clippy::too_many_arguments)]
-fn eval_comb_injected(
-    view: &Netlist,
-    order: &[NetId],
-    values: &mut [u64],
-    inj_flag: &[bool],
-    inj: &mut HashMap<u32, Vec<InjEntry>>,
-    pins: &mut [u64; 3],
-    first_ever: bool,
-) {
-    for &id in order {
-        let gate = view.gate(id);
-        for (i, &p) in gate.pins.iter().enumerate() {
-            pins[i] = values[p.index()];
-        }
-        let mut w = gate.kind.eval_word(&pins[..gate.pins.len()]);
-        if inj_flag[id.index()] {
-            let entries = inj.get_mut(&id.0).expect("registered");
-            w = apply(w, entries, first_ever);
-        }
-        values[id.index()] = w;
-    }
-}
-
-pub(crate) fn get_bit(state: &[u64], j: usize) -> bool {
+fn get_bit(state: &[u64], j: usize) -> bool {
     (state[j / 64] >> (j % 64)) & 1 == 1
 }
 
-pub(crate) fn set_bit(state: &mut [u64], j: usize, v: bool) {
+fn set_bit(state: &mut [u64], j: usize, v: bool) {
     if v {
         state[j / 64] |= 1u64 << (j % 64);
     } else {
@@ -271,18 +251,12 @@ impl<'a> SeqFaultSim<'a> {
     /// # Errors
     ///
     /// Returns [`NetlistError::CombinationalCycle`] if the fault view cannot
-    /// be levelized (it can always be levelized if the original could).
+    /// be compiled (it always can if the original netlist could).
     pub fn run(&self, stimulus: &mut dyn SeqStimulus) -> Result<FaultSimResult, NetlistError> {
         let start = Instant::now();
-        let view = self.universe.view();
-        let pis = view.primary_inputs();
+        let kernel = self.universe.kernel()?;
+        let pis = self.universe.view().primary_inputs();
         let stim = StimulusMatrix::materialize(stimulus, pis.len());
-        let order = view.levelize()?;
-        let dff_pairs: Vec<(NetId, NetId)> = view
-            .dffs()
-            .iter()
-            .map(|&q| (q, view.gate(q).pins[0]))
-            .collect();
         let obs: Vec<NetId> = match &self.config.observe {
             ObserveMode::Outputs => self.universe.observe_nets().to_vec(),
             ObserveMode::Nets(nets) => nets.clone(),
@@ -298,13 +272,11 @@ impl<'a> SeqFaultSim<'a> {
         };
 
         let faults = self.universe.faults();
-        let ndff = dff_pairs.len();
+        let ndff = kernel.dff_q().len();
         let cycles = stim.cycles;
 
         let ctx = WindowCtx {
-            view,
-            order: &order,
-            dff_pairs: &dff_pairs,
+            kernel: &kernel,
             pis: &pis,
             obs: &obs,
             stim: &stim,
@@ -316,27 +288,12 @@ impl<'a> SeqFaultSim<'a> {
             ndff,
             collect: self.config.collect_syndromes,
         };
-        match self.config.engine {
-            SimEngine::Graph => self.run_windows(&ctx, &GraphEngine, start),
-            SimEngine::Kernel => {
-                let kernel = self.universe.kernel()?;
-                self.run_windows(&ctx, &KernelEngine::new(kernel), start)
-            }
-        }
+        Ok(self.run_windows(&ctx, start))
     }
 
-    /// The engine-generic window loop: good pass, chunk fan-out with a
-    /// deterministic merge, fault dropping, and survivor repacking. Both
-    /// engines share this loop verbatim, so scheduling counters, window
-    /// trace events, and merge order are identical by construction — the
-    /// engines only differ in how a window is *computed*, never in what is
-    /// recorded.
-    fn run_windows<E: WindowEngine>(
-        &self,
-        ctx: &WindowCtx<'_>,
-        engine: &E,
-        start: Instant,
-    ) -> Result<FaultSimResult, NetlistError> {
+    /// The window loop: good pass, chunk fan-out with a deterministic
+    /// merge, fault dropping, and survivor repacking.
+    fn run_windows(&self, ctx: &WindowCtx<'_>, start: Instant) -> FaultSimResult {
         let faults = ctx.faults;
         let nstate = ctx.ndff + 1 + ctx.misr_width; // +1: previous-value bit
         let state_words = nstate.div_ceil(64).max(1);
@@ -369,16 +326,17 @@ impl<'a> SeqFaultSim<'a> {
 
         // Per-worker scratchpads, hoisted across windows (plus one for the
         // coordinating thread's good pass).
-        let mut scratches: Vec<E::Scratch> =
-            (0..nthreads).map(|_| engine.new_scratch(ctx)).collect();
-        let mut good_scratch = engine.new_scratch(ctx);
+        let mut scratches: Vec<_> = (0..nthreads).map(|_| ctx.new_scratch()).collect();
+        let mut good_scratch = ctx.new_scratch();
 
+        // A zero-length window would never advance.
+        let window = self.config.window.max(1);
         let mut window_start = 0u64;
         while window_start < cycles && !active.is_empty() {
-            let wlen = self.config.window.min(cycles - window_start);
+            let wlen = window.min(cycles - window_start);
             let trace = {
                 let _p = self.config.profile.scope("good_trace");
-                engine.good_window(ctx, &good_state, window_start, wlen, &mut good_scratch)
+                ctx.good_window(&good_state, window_start, wlen, &mut good_scratch)
             };
             stats.good_cycles += wlen;
             stats.faulty_cycles += wlen * active.chunks(64).count() as u64;
@@ -391,8 +349,7 @@ impl<'a> SeqFaultSim<'a> {
                 vec![chunk_slices
                     .iter_mut()
                     .map(|chunk| {
-                        engine.run_chunk(
-                            ctx,
+                        ctx.run_chunk(
                             chunk,
                             &good_state,
                             &trace,
@@ -415,8 +372,7 @@ impl<'a> SeqFaultSim<'a> {
                                 group
                                     .iter_mut()
                                     .map(|chunk| {
-                                        engine.run_chunk(
-                                            ctx,
+                                        ctx.run_chunk(
                                             chunk,
                                             good_ref,
                                             trace_ref,
@@ -491,7 +447,7 @@ impl<'a> SeqFaultSim<'a> {
                 threads: nthreads as u64,
             },
         );
-        Ok(FaultSimResult {
+        FaultSimResult {
             detection,
             cycles,
             wall: stats.wall,
@@ -501,380 +457,452 @@ impl<'a> SeqFaultSim<'a> {
                 None
             },
             stats,
-        })
-    }
-}
-
-/// One window-execution strategy: a good-machine pass plus a 64-fault
-/// chunk simulation. Implementations must be bit-identical — the
-/// [`GraphEngine`] is the oracle, [`KernelEngine`] the optimized default —
-/// and the contract is pinned by the `kernel` conformance pair.
-pub(crate) trait WindowEngine: Sync {
-    /// Per-worker scratch memory, reused across windows and chunks.
-    type Scratch: Send;
-
-    /// Allocates one worker's scratchpad.
-    fn new_scratch(&self, ctx: &WindowCtx<'_>) -> Self::Scratch;
-
-    /// Simulates the good machine over one window.
-    fn good_window(
-        &self,
-        ctx: &WindowCtx<'_>,
-        good_state: &[u64],
-        window_start: u64,
-        wlen: u64,
-        scratch: &mut Self::Scratch,
-    ) -> GoodTrace;
-
-    /// Simulates one 64-fault lane chunk over one window.
-    #[allow(clippy::too_many_arguments)]
-    fn run_chunk(
-        &self,
-        ctx: &WindowCtx<'_>,
-        chunk: &mut [ActiveFault],
-        good_state: &[u64],
-        trace: &GoodTrace,
-        window_start: u64,
-        wlen: u64,
-        scratch: &mut Self::Scratch,
-    ) -> ChunkOut;
-}
-
-/// The graph-walking reference engine: levelized order over the gate
-/// graph, full re-evaluation of every gate for every chunk cycle.
-pub(crate) struct GraphEngine;
-
-impl WindowEngine for GraphEngine {
-    type Scratch = Vec<u64>;
-
-    fn new_scratch(&self, ctx: &WindowCtx<'_>) -> Vec<u64> {
-        // Constants are set once; everything else is rewritten per cycle.
-        let mut values = vec![0u64; ctx.view.len()];
-        for (id, gate) in ctx.view.iter() {
-            if gate.kind == GateKind::Const1 {
-                values[id.index()] = u64::MAX;
-            }
         }
-        values
+    }
+}
+
+/// Per-worker scratch. `qdev` marks the flip-flops whose lane word
+/// currently deviates from the good machine; `qwords[j]` is only meaningful
+/// while bit `j` is set. `inj_mark` is stamped with `chunk_no` so it never
+/// needs clearing between chunks.
+struct KernelScratch {
+    vals: Vec<u64>,
+    dev: Vec<u64>,
+    stored: Vec<u32>,
+    pending: Vec<u64>,
+    qwords: Vec<u64>,
+    qdev: Vec<u64>,
+    touched: Vec<u32>,
+    misr: Vec<u64>,
+    misr_next: Vec<u64>,
+    inj_mark: Vec<u64>,
+    chunk_no: u64,
+}
+
+/// Broadcast of the good bit of `net` from a packed per-cycle row.
+#[inline]
+fn gbit(row: &[u64], net: usize) -> u64 {
+    0u64.wrapping_sub((row[net / 64] >> (net % 64)) & 1)
+}
+
+impl WindowCtx<'_> {
+    /// Allocates one worker's scratchpad, reused across windows and chunks.
+    fn new_scratch(&self) -> KernelScratch {
+        let sched_words = self.kernel.ops().div_ceil(64).max(1);
+        KernelScratch {
+            vals: self.kernel.fresh_values(),
+            dev: vec![0u64; self.kernel.nets()],
+            stored: Vec::new(),
+            pending: vec![0u64; sched_words],
+            qwords: vec![0u64; self.ndff],
+            qdev: vec![0u64; self.ndff.div_ceil(64).max(1)],
+            touched: Vec::new(),
+            misr: vec![0u64; self.misr_width],
+            misr_next: vec![0u64; self.misr_width],
+            inj_mark: vec![0u64; self.kernel.nets()],
+            chunk_no: 0,
+        }
     }
 
+    /// The good pass on the flat schedule: captures the good value of every
+    /// net at every cycle as a packed per-cycle bitmap — small enough to
+    /// stay cache-resident while every chunk replays the window against
+    /// it — plus the MISR read signatures and the end-of-window state.
     fn good_window(
         &self,
-        ctx: &WindowCtx<'_>,
         good_state: &[u64],
         window_start: u64,
         wlen: u64,
-        scratch: &mut Vec<u64>,
+        scratch: &mut KernelScratch,
     ) -> GoodTrace {
-        good_window(ctx, good_state, window_start, wlen, scratch)
+        let kernel = self.kernel;
+        let net_words = kernel.nets().div_ceil(64).max(1);
+        let mut trace = GoodTrace {
+            sigs: Vec::new(),
+            next_state: vec![0u64; good_state.len()],
+            net_bits: vec![0u64; net_words * wlen as usize],
+            net_words,
+        };
+        let values = &mut scratch.vals;
+
+        for (j, &q) in kernel.dff_q().iter().enumerate() {
+            values[q as usize] = if get_bit(good_state, j) { u64::MAX } else { 0 };
+        }
+        let mut misr: u64 = (0..self.misr_width).rev().fold(0u64, |acc, j| {
+            (acc << 1) | u64::from(get_bit(good_state, self.ndff + 1 + j))
+        });
+        let misr_mask = match self.misr_width {
+            0 => 0,
+            64.. => u64::MAX,
+            w => (1u64 << w) - 1,
+        };
+        // Monotone read-index counter, seeded with the number of boundary
+        // reads strictly before this window (`t` is absolute, so earlier
+        // windows contributed exactly `window_start / read_every` reads; the
+        // forced off-boundary final read can only occur in the last window).
+        // Assigning indices sequentially instead of re-deriving
+        // `t / read_every` per read makes collisions between a boundary read
+        // and the forced final read structurally impossible.
+        let mut read_idx = if self.misr_width == 0 {
+            0
+        } else {
+            window_start / self.misr_read
+        };
+
+        for t in window_start..window_start + wlen {
+            for (k, &pi) in self.pis.iter().enumerate() {
+                values[pi.index()] = if self.stim.get(t, k) { u64::MAX } else { 0 };
+            }
+            kernel.eval(values);
+            let rel = (t - window_start) as usize;
+            let row = &mut trace.net_bits[rel * net_words..(rel + 1) * net_words];
+            for (net, &v) in values.iter().enumerate() {
+                row[net / 64] |= (v & 1) << (net % 64);
+            }
+            if self.misr_width != 0 {
+                // Scalar form of the per-lane MISR update in `run_chunk`.
+                let fb = (misr >> (self.misr_width - 1)) & 1;
+                let mut next = (misr << 1) & misr_mask;
+                if fb == 1 {
+                    next ^= self.misr_taps;
+                }
+                for (oi, &o) in self.obs.iter().enumerate() {
+                    next ^= (values[o.index()] & 1) << (oi % self.misr_width);
+                }
+                misr = next & misr_mask;
+                let is_read = (t + 1) % self.misr_read == 0 || t + 1 == self.total_cycles;
+                if is_read {
+                    trace.sigs.push((t, read_idx, misr));
+                    read_idx += 1;
+                }
+            }
+            // Clock: stage every d sample before writing any q so chained
+            // flip-flops see pre-edge values.
+            let sampled: Vec<u64> = kernel.dff_d().iter().map(|&d| values[d as usize]).collect();
+            for (&q, v) in kernel.dff_q().iter().zip(sampled) {
+                values[q as usize] = v;
+            }
+        }
+
+        for (j, &q) in kernel.dff_q().iter().enumerate() {
+            set_bit(&mut trace.next_state, j, values[q as usize] & 1 == 1);
+        }
+        for j in 0..self.misr_width {
+            set_bit(
+                &mut trace.next_state,
+                self.ndff + 1 + j,
+                (misr >> j) & 1 == 1,
+            );
+        }
+        trace
     }
 
+    /// Simulates one 64-fault lane chunk over one window against the good
+    /// trace, updating the chunk's packed states in place and returning its
+    /// detections and syndrome events.
     fn run_chunk(
         &self,
-        ctx: &WindowCtx<'_>,
         chunk: &mut [ActiveFault],
         good_state: &[u64],
         trace: &GoodTrace,
         window_start: u64,
         wlen: u64,
-        scratch: &mut Vec<u64>,
+        scratch: &mut KernelScratch,
     ) -> ChunkOut {
-        run_chunk(ctx, chunk, good_state, trace, window_start, wlen, scratch)
-    }
-}
-
-/// Simulates the good machine alone over one window (bit 0 of the value
-/// words), recording what the fault chunks need: observation values per
-/// cycle, MISR signatures at read boundaries, and the end-of-window state.
-fn good_window(
-    ctx: &WindowCtx<'_>,
-    good_state: &[u64],
-    window_start: u64,
-    wlen: u64,
-    values: &mut [u64],
-) -> GoodTrace {
-    let obs_words = if ctx.misr_width == 0 {
-        ctx.obs.len().div_ceil(64).max(1)
-    } else {
-        0
-    };
-    let mut trace = GoodTrace {
-        obs: vec![0u64; obs_words * wlen as usize],
-        obs_words,
-        sigs: Vec::new(),
-        next_state: vec![0u64; good_state.len()],
-        net_bits: Vec::new(),
-        net_words: 0,
-    };
-    // Monotone read-index counter, seeded with the number of boundary
-    // reads strictly before this window (`t` is absolute, so earlier
-    // windows contributed exactly `window_start / read_every` reads; the
-    // forced off-boundary final read can only occur in the last window).
-    // Assigning indices sequentially instead of re-deriving `t / read_every`
-    // per read makes collisions between a boundary read and the forced
-    // final read structurally impossible.
-    let mut read_idx = if ctx.misr_width == 0 {
-        0
-    } else {
-        window_start / ctx.misr_read
-    };
-
-    for (j, &(q, _)) in ctx.dff_pairs.iter().enumerate() {
-        values[q.index()] = if get_bit(good_state, j) { u64::MAX } else { 0 };
-    }
-    let mut misr: u64 = (0..ctx.misr_width).rev().fold(0u64, |acc, j| {
-        (acc << 1) | u64::from(get_bit(good_state, ctx.ndff + 1 + j))
-    });
-    let misr_mask = match ctx.misr_width {
-        0 => 0,
-        64.. => u64::MAX,
-        w => (1u64 << w) - 1,
-    };
-
-    let mut pins = [0u64; 3];
-    let mut dff_next: Vec<u64> = vec![0; ctx.dff_pairs.len()];
-    for t in window_start..window_start + wlen {
-        for (k, &pi) in ctx.pis.iter().enumerate() {
-            values[pi.index()] = if ctx.stim.get(t, k) { u64::MAX } else { 0 };
-        }
-        for &id in ctx.order {
-            let gate = ctx.view.gate(id);
-            for (i, &p) in gate.pins.iter().enumerate() {
-                pins[i] = values[p.index()];
-            }
-            values[id.index()] = gate.kind.eval_word(&pins[..gate.pins.len()]);
-        }
-        let rel = (t - window_start) as usize;
-        if ctx.misr_width == 0 {
-            for (oi, &o) in ctx.obs.iter().enumerate() {
-                if values[o.index()] & 1 == 1 {
-                    trace.obs[rel * obs_words + oi / 64] |= 1u64 << (oi % 64);
-                }
-            }
+        let kernel = self.kernel;
+        let nw = trace.net_words;
+        let mut out = ChunkOut::default();
+        let mut first_det: Vec<Option<u64>> = vec![None; chunk.len()];
+        let lanes_mask = if chunk.len() == 64 {
+            u64::MAX
         } else {
-            // Scalar form of the per-lane MISR update in `run_chunk`.
-            let fb = (misr >> (ctx.misr_width - 1)) & 1;
-            let mut next = (misr << 1) & misr_mask;
-            if fb == 1 {
-                next ^= ctx.misr_taps;
-            }
-            for (oi, &o) in ctx.obs.iter().enumerate() {
-                next ^= (values[o.index()] & 1) << (oi % ctx.misr_width);
-            }
-            misr = next & misr_mask;
-            let is_read = (t + 1) % ctx.misr_read == 0 || t + 1 == ctx.total_cycles;
-            if is_read {
-                trace.sigs.push((t, read_idx, misr));
-                read_idx += 1;
-            }
-        }
-        // Sample every d before writing any q so chained flip-flops see
-        // pre-edge values (simultaneous clocking).
-        for (w, &(_, d)) in dff_next.iter_mut().zip(ctx.dff_pairs) {
-            *w = values[d.index()];
-        }
-        for (&(q, _), &w) in ctx.dff_pairs.iter().zip(&dff_next) {
-            values[q.index()] = w;
-        }
-    }
+            (1u64 << chunk.len()) - 1
+        };
+        let ndff = self.ndff;
+        let (dff_q, dff_d) = (kernel.dff_q(), kernel.dff_d());
+        // In-window fault dropping: once a lane has its first detection it
+        // can no longer influence anything observable (post-detection
+        // deviations are only meaningful to syndrome collection), so when
+        // syndromes are off the lane is masked out of every *propagation
+        // decision*. Bitwise evaluation is lane-pure — an op's live-lane
+        // output bits depend only on live-lane input bits — so the live
+        // lanes stay exact while dead-lane wavefronts collapse.
+        let mut live = lanes_mask;
 
-    for (j, &(q, _)) in ctx.dff_pairs.iter().enumerate() {
-        set_bit(&mut trace.next_state, j, values[q.index()] & 1 == 1);
-    }
-    for j in 0..ctx.misr_width {
-        set_bit(
-            &mut trace.next_state,
-            ctx.ndff + 1 + j,
-            (misr >> j) & 1 == 1,
-        );
-    }
-    trace
-}
-
-/// Simulates one 64-fault lane chunk over one window against the good
-/// trace, updating the chunk's packed states in place and returning its
-/// detections and syndrome events.
-fn run_chunk(
-    ctx: &WindowCtx<'_>,
-    chunk: &mut [ActiveFault],
-    good_state: &[u64],
-    trace: &GoodTrace,
-    window_start: u64,
-    wlen: u64,
-    values: &mut [u64],
-) -> ChunkOut {
-    let mut out = ChunkOut::default();
-    let mut first_det: Vec<Option<u64>> = vec![None; chunk.len()];
-    let lanes_mask = if chunk.len() == 64 {
-        u64::MAX
-    } else {
-        (1u64 << chunk.len()) - 1
-    };
-    // Hoist the context fields the per-cycle loop touches.
-    let view = ctx.view;
-    let order = ctx.order;
-    let dff_pairs = ctx.dff_pairs;
-    let pis = ctx.pis;
-    let obs = ctx.obs;
-    let stim = ctx.stim;
-
-    // Load flip-flop lane words from the good state + per-fault states.
-    for (j, &(q, _)) in ctx.dff_pairs.iter().enumerate() {
-        let mut w = if get_bit(good_state, j) { u64::MAX } else { 0 };
+        // Load the sparse flip-flop/MISR lane state: broadcast the good
+        // bits, then flip the lanes whose packed state diffs from the good
+        // machine (deviating state bits are rare, so walk the XOR words).
+        scratch.qdev.fill(0);
+        for (j, m) in scratch.misr.iter_mut().enumerate() {
+            *m = if get_bit(good_state, ndff + 1 + j) {
+                u64::MAX
+            } else {
+                0
+            };
+        }
         for (l, af) in chunk.iter().enumerate() {
-            if get_bit(&af.state, j) != get_bit(good_state, j) {
-                w ^= 1u64 << l;
-            }
-        }
-        values[q.index()] = w;
-    }
-    // Load MISR lane words similarly.
-    let mut misr: Vec<u64> = (0..ctx.misr_width)
-        .map(|j| {
-            let sj = ctx.ndff + 1 + j;
-            let mut w = if get_bit(good_state, sj) { u64::MAX } else { 0 };
-            for (l, af) in chunk.iter().enumerate() {
-                if get_bit(&af.state, sj) != get_bit(good_state, sj) {
-                    w ^= 1u64 << l;
-                }
-            }
-            w
-        })
-        .collect();
-    let mut misr_next = vec![0u64; ctx.misr_width];
-
-    // Build injection tables.
-    let mut inj: HashMap<u32, Vec<InjEntry>> = HashMap::new();
-    for (l, af) in chunk.iter().enumerate() {
-        let f = ctx.faults[af.idx];
-        inj.entry(f.net.0).or_default().push(InjEntry {
-            lane: l as u8,
-            kind: f.kind,
-            prev: get_bit(&af.state, ctx.ndff),
-        });
-    }
-    let mut inj_flag = vec![false; ctx.view.len()];
-    let mut src_inj: Vec<u32> = Vec::new();
-    for &net in inj.keys() {
-        inj_flag[net as usize] = true;
-        if ctx.view.gate(NetId(net)).kind.is_source() {
-            src_inj.push(net);
-        }
-    }
-
-    let mut pins = [0u64; 3];
-    let mut read_cursor = 0usize;
-    let mut dff_next: Vec<u64> = vec![0; dff_pairs.len()];
-    for t in window_start..window_start + wlen {
-        let first_ever = t == 0;
-        // Drive primary inputs (same value on every lane).
-        for (k, &pi) in pis.iter().enumerate() {
-            values[pi.index()] = if stim.get(t, k) { u64::MAX } else { 0 };
-        }
-        // Source-site injections (PI nets and flip-flop outputs).
-        for &net in &src_inj {
-            let entries = inj.get_mut(&net).expect("registered");
-            values[net as usize] = apply(values[net as usize], entries, first_ever);
-        }
-        eval_comb_injected(
-            view, order, values, &inj_flag, &mut inj, &mut pins, first_ever,
-        );
-        // Observation against the precomputed good trace.
-        let rel = (t - window_start) as usize;
-        if ctx.misr_width == 0 {
-            let row = &trace.obs[rel * trace.obs_words..(rel + 1) * trace.obs_words];
-            for (oi, &o) in obs.iter().enumerate() {
-                let w = values[o.index()];
-                let good_bit = (row[oi / 64] >> (oi % 64)) & 1;
-                let good = 0u64.wrapping_sub(good_bit);
-                let mut diff = (w ^ good) & lanes_mask;
+            for (wi, (&aw, &gw)) in af.state.iter().zip(good_state.iter()).enumerate() {
+                let mut diff = aw ^ gw;
                 while diff != 0 {
-                    let lane = diff.trailing_zeros() as usize;
+                    let sbit = wi * 64 + diff.trailing_zeros() as usize;
                     diff &= diff - 1;
-                    if first_det[lane].is_none() {
-                        first_det[lane] = Some(t);
-                    }
-                    if ctx.collect {
-                        out.events.push((chunk[lane].idx, t, oi as u64));
-                    }
-                }
-            }
-        } else {
-            // Fold observation nets into MISR inputs and update.
-            let fb = misr[ctx.misr_width - 1];
-            for (j, n) in misr_next.iter_mut().enumerate() {
-                let mut w = if j > 0 { misr[j - 1] } else { 0 };
-                if (ctx.misr_taps >> j) & 1 == 1 {
-                    w ^= fb;
-                }
-                *n = w;
-            }
-            for (oi, &o) in obs.iter().enumerate() {
-                misr_next[oi % ctx.misr_width] ^= values[o.index()];
-            }
-            std::mem::swap(&mut misr, &mut misr_next);
-            // The good trace's boundary list is the single source of truth
-            // for the read schedule — no re-derivation of the predicate.
-            let is_read = read_cursor < trace.sigs.len() && trace.sigs[read_cursor].0 == t;
-            if is_read {
-                let (_, read_idx, good_sig) = trace.sigs[read_cursor];
-                read_cursor += 1;
-                // Per-lane signature extraction and comparison.
-                for (l, af) in chunk.iter().enumerate() {
-                    let mut sig = 0u64;
-                    for (j, &w) in misr.iter().enumerate() {
-                        sig |= ((w >> l) & 1) << j;
-                    }
-                    if sig != good_sig {
-                        if first_det[l].is_none() {
-                            first_det[l] = Some(t);
+                    if sbit < ndff {
+                        if scratch.qdev[sbit / 64] >> (sbit % 64) & 1 == 0 {
+                            scratch.qdev[sbit / 64] |= 1u64 << (sbit % 64);
+                            scratch.qwords[sbit] = if get_bit(good_state, sbit) {
+                                u64::MAX
+                            } else {
+                                0
+                            };
                         }
-                        if ctx.collect {
-                            out.events.push((af.idx, read_idx, sig));
-                        }
+                        scratch.qwords[sbit] ^= 1u64 << l;
+                    } else if sbit > ndff && sbit < ndff + 1 + self.misr_width {
+                        // MISR stage bit (the `ndff` slot is the transition
+                        // `prev` bit, carried by the injection entries).
+                        scratch.misr[sbit - ndff - 1] ^= 1u64 << l;
                     }
                 }
             }
         }
-        // Clock every flip-flop, sampling all d pins before writing any q
-        // so chained flip-flops see pre-edge values.
-        for (w, &(_, d)) in dff_next.iter_mut().zip(dff_pairs) {
-            *w = values[d.index()];
-        }
-        for (&(q, _), &w) in dff_pairs.iter().zip(&dff_next) {
-            values[q.index()] = w;
-        }
-    }
 
-    for (l, d) in first_det.iter().enumerate() {
-        if let Some(t) = d {
-            out.detections.push((chunk[l].idx, *t));
+        // Injection tables: per-net entry lists (lane order), split into
+        // scheduled gate sites and source sites.
+        scratch.chunk_no += 1;
+        let chunk_no = scratch.chunk_no;
+        let mut inj: HashMap<u32, Vec<InjEntry>> = HashMap::new();
+        for (l, af) in chunk.iter().enumerate() {
+            let f = self.faults[af.idx];
+            inj.entry(f.net.0).or_default().push(InjEntry {
+                lane: l as u8,
+                kind: f.kind,
+                prev: get_bit(&af.state, ndff),
+            });
         }
-    }
-
-    // Extract survivor states.
-    for (l, af) in chunk.iter_mut().enumerate() {
-        for (j, &(q, _)) in ctx.dff_pairs.iter().enumerate() {
-            set_bit(&mut af.state, j, (values[q.index()] >> l) & 1 == 1);
-        }
-        let f = ctx.faults[af.idx];
-        if let Some(entries) = inj.get(&f.net.0) {
-            if let Some(e) = entries.iter().find(|e| e.lane as usize == l) {
-                set_bit(&mut af.state, ctx.ndff, e.prev);
+        let mut site_ops: Vec<u32> = Vec::new();
+        let mut src_sites: Vec<u32> = Vec::new();
+        for &net in inj.keys() {
+            scratch.inj_mark[net as usize] = chunk_no;
+            match kernel.sched_of(net) {
+                Some(p) => site_ops.push(p as u32),
+                None => src_sites.push(net),
             }
         }
-        for (j, &w) in misr.iter().enumerate() {
-            set_bit(&mut af.state, ctx.ndff + 1 + j, (w >> l) & 1 == 1);
+
+        let mut read_cursor = 0usize;
+        for t in window_start..window_start + wlen {
+            let first_ever = t == 0;
+            let rel = (t - window_start) as usize;
+            let row = &trace.net_bits[rel * nw..(rel + 1) * nw];
+
+            // Deviating flip-flop outputs only — `qdev` guarantees the lane
+            // word differs, so fanouts and d-sinks are seeded untested.
+            for wi in 0..scratch.qdev.len() {
+                let mut rem = scratch.qdev[wi];
+                while rem != 0 {
+                    let j = wi * 64 + rem.trailing_zeros() as usize;
+                    rem &= rem - 1;
+                    let q = dff_q[j];
+                    scratch.dev[q as usize] = scratch.qwords[j] ^ gbit(row, q as usize);
+                    scratch.stored.push(q);
+                    for &op in kernel.fanout_ops(q) {
+                        scratch.pending[op as usize / 64] |= 1u64 << (op % 64);
+                    }
+                    for &k in kernel.dff_d_sinks(q) {
+                        scratch.touched.push(k);
+                    }
+                }
+            }
+            // Source-site injections (primary inputs, flip-flop outputs,
+            // constants) — applied before the sweep.
+            for &net in &src_sites {
+                let n = net as usize;
+                let entries = inj.get_mut(&net).expect("registered");
+                let g = gbit(row, n);
+                let w = apply(g ^ scratch.dev[n], entries, first_ever);
+                scratch.dev[n] = w ^ g;
+                scratch.stored.push(net);
+                if (w ^ g) & live != 0 {
+                    for &op in kernel.fanout_ops(net) {
+                        scratch.pending[op as usize / 64] |= 1u64 << (op % 64);
+                    }
+                    for &k in kernel.dff_d_sinks(net) {
+                        scratch.touched.push(k);
+                    }
+                }
+            }
+            // Injected gates are evaluated every cycle: their outputs are
+            // forced, and transition injections must update `prev`.
+            for &p in &site_ops {
+                scratch.pending[p as usize / 64] |= 1u64 << (p % 64);
+            }
+
+            // Event-driven sweep in schedule order. Fanout positions are
+            // strictly greater than the producing op's, so newly seeded
+            // work always lies ahead of the cursor.
+            for wi in 0..scratch.pending.len() {
+                loop {
+                    let rem = scratch.pending[wi];
+                    if rem == 0 {
+                        break;
+                    }
+                    let b = rem.trailing_zeros() as usize;
+                    scratch.pending[wi] &= !(1u64 << b);
+                    let p = wi * 64 + b;
+                    let [pa, pb, pc] = kernel.op_pins(p);
+                    let mut w = kernel.eval_pins(
+                        p,
+                        [
+                            gbit(row, pa as usize) ^ scratch.dev[pa as usize],
+                            gbit(row, pb as usize) ^ scratch.dev[pb as usize],
+                            gbit(row, pc as usize) ^ scratch.dev[pc as usize],
+                        ],
+                    );
+                    let outn = kernel.op_out(p);
+                    if scratch.inj_mark[outn as usize] == chunk_no {
+                        let entries = inj.get_mut(&outn).expect("registered");
+                        w = apply(w, entries, first_ever);
+                    }
+                    let d = w ^ gbit(row, outn as usize);
+                    scratch.dev[outn as usize] = d;
+                    scratch.stored.push(outn);
+                    if d & live != 0 {
+                        for &op in kernel.fanout_ops(outn) {
+                            scratch.pending[op as usize / 64] |= 1u64 << (op % 64);
+                        }
+                        for &k in kernel.dff_d_sinks(outn) {
+                            scratch.touched.push(k);
+                        }
+                    }
+                }
+            }
+
+            // Observation, in `oi` order: the syndrome event order.
+            if self.misr_width == 0 {
+                for (oi, &o) in self.obs.iter().enumerate() {
+                    let on = o.index();
+                    let mut diff = scratch.dev[on] & live;
+                    while diff != 0 {
+                        let lane = diff.trailing_zeros() as usize;
+                        diff &= diff - 1;
+                        if first_det[lane].is_none() {
+                            first_det[lane] = Some(t);
+                            if !self.collect {
+                                live &= !(1u64 << lane);
+                            }
+                        }
+                        if self.collect {
+                            out.events.push((chunk[lane].idx, t, oi as u64));
+                        }
+                    }
+                }
+            } else {
+                let fb = scratch.misr[self.misr_width - 1];
+                for j in (1..self.misr_width).rev() {
+                    scratch.misr_next[j] = scratch.misr[j - 1];
+                }
+                scratch.misr_next[0] = 0;
+                for (j, n) in scratch.misr_next.iter_mut().enumerate() {
+                    if (self.misr_taps >> j) & 1 == 1 {
+                        *n ^= fb;
+                    }
+                }
+                for (oi, &o) in self.obs.iter().enumerate() {
+                    let on = o.index();
+                    scratch.misr_next[oi % self.misr_width] ^= gbit(row, on) ^ scratch.dev[on];
+                }
+                std::mem::swap(&mut scratch.misr, &mut scratch.misr_next);
+                let is_read = read_cursor < trace.sigs.len() && trace.sigs[read_cursor].0 == t;
+                if is_read {
+                    let (_, read_idx, good_sig) = trace.sigs[read_cursor];
+                    read_cursor += 1;
+                    for (l, af) in chunk.iter().enumerate() {
+                        let mut sig = 0u64;
+                        for (j, &w) in scratch.misr.iter().enumerate() {
+                            sig |= ((w >> l) & 1) << j;
+                        }
+                        if sig != good_sig {
+                            if first_det[l].is_none() {
+                                first_det[l] = Some(t);
+                                if !self.collect {
+                                    live &= !(1u64 << l);
+                                }
+                            }
+                            if self.collect {
+                                out.events.push((af.idx, read_idx, sig));
+                            }
+                        }
+                    }
+                }
+            }
+
+            // Clock. Only flip-flops whose `d` was stored with a deviation
+            // this cycle can deviate next cycle; everything else snaps back
+            // to the good trajectory, so `qdev` is rebuilt from `touched`.
+            // `row[d]` is the good post-eval value of `d` at this cycle,
+            // i.e. the good `q` entering the next cycle.
+            scratch.qdev.fill(0);
+            for &k in &scratch.touched {
+                let j = k as usize;
+                let dn = dff_d[j] as usize;
+                let d = scratch.dev[dn];
+                scratch.qwords[j] = gbit(row, dn) ^ d;
+                if d & live != 0 {
+                    scratch.qdev[j / 64] |= 1u64 << (j % 64);
+                }
+            }
+            scratch.touched.clear();
+            // Reset the deviation overlay sparsely: only stored nets can
+            // hold a nonzero word, so `dev` is all-zero again afterwards.
+            for &n in &scratch.stored {
+                scratch.dev[n as usize] = 0;
+            }
+            scratch.stored.clear();
+            // Every lane detected and no syndromes wanted: the rest of the
+            // window cannot change any output (detected faults are dropped
+            // at the window boundary), so stop simulating this chunk.
+            if live == 0 {
+                break;
+            }
         }
+
+        for (l, d) in first_det.iter().enumerate() {
+            if let Some(t) = d {
+                out.detections.push((chunk[l].idx, *t));
+            }
+        }
+
+        // Extract survivor states: start from the good end-of-window state
+        // and overlay the deviating flip-flops, the transition `prev` bit,
+        // and the MISR lane words.
+        for (l, af) in chunk.iter_mut().enumerate() {
+            af.state.copy_from_slice(&trace.next_state);
+            for wi in 0..scratch.qdev.len() {
+                let mut rem = scratch.qdev[wi];
+                while rem != 0 {
+                    let j = wi * 64 + rem.trailing_zeros() as usize;
+                    rem &= rem - 1;
+                    set_bit(&mut af.state, j, (scratch.qwords[j] >> l) & 1 == 1);
+                }
+            }
+            let f = self.faults[af.idx];
+            if let Some(entries) = inj.get(&f.net.0) {
+                if let Some(e) = entries.iter().find(|e| e.lane as usize == l) {
+                    set_bit(&mut af.state, ndff, e.prev);
+                }
+            }
+            for (j, &w) in scratch.misr.iter().enumerate() {
+                set_bit(&mut af.state, ndff + 1 + j, (w >> l) & 1 == 1);
+            }
+        }
+        out
     }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::VectorStimulus;
-    use soctest_netlist::ModuleBuilder;
+    use soctest_netlist::{ModuleBuilder, Netlist};
 
     /// Combinational XOR/AND block behind a register.
     fn small_seq() -> Netlist {
@@ -958,6 +986,31 @@ mod tests {
             sim.run(&mut stim).unwrap().detection
         };
         assert_eq!(run(4), run(1024), "windowing must not change results");
+    }
+
+    /// Regression: a zero-length window never advanced, so the run looped
+    /// forever while the survivor trajectory grew without bound.
+    #[test]
+    fn zero_window_terminates_and_matches_window_one() {
+        let nl = small_seq();
+        let u = FaultUniverse::stuck_at(&nl);
+        let run = |window| {
+            let mut stim = VectorStimulus::new(exhaustive_patterns(4, 1));
+            let sim = SeqFaultSim::new(
+                &u,
+                SeqFaultSimConfig {
+                    window,
+                    ..Default::default()
+                },
+            );
+            sim.run(&mut stim).unwrap()
+        };
+        let zero = run(0);
+        let one = run(1);
+        assert!(zero.detected_count() > 0);
+        assert_eq!(zero.detection, one.detection);
+        assert_eq!(zero.stats.windows, one.stats.windows);
+        assert_eq!(zero.stats.survivors, one.stats.survivors);
     }
 
     #[test]
@@ -1054,28 +1107,25 @@ mod tests {
     fn misr_reads_survive_off_boundary_windows_and_totals() {
         let nl = small_seq();
         let u = FaultUniverse::stuck_at(&nl);
-        for engine in [SimEngine::Kernel, SimEngine::Graph] {
-            let run = |window| {
-                let mut stim = VectorStimulus::new(exhaustive_patterns(4, 0)[..13].to_vec());
-                let sim = SeqFaultSim::new(
-                    &u,
-                    SeqFaultSimConfig {
-                        window,
-                        observe: ObserveMode::misr_default(16, 5),
-                        collect_syndromes: true,
-                        engine,
-                        ..Default::default()
-                    },
-                );
-                sim.run(&mut stim).unwrap()
-            };
-            let reference = run(1024); // one window covers all 13 cycles
-            assert!(reference.detected_count() > 0);
-            for window in [3, 4, 5, 7] {
-                let r = run(window);
-                assert_eq!(r.detection, reference.detection, "window={window}");
-                assert_eq!(r.syndromes, reference.syndromes, "window={window}");
-            }
+        let run = |window| {
+            let mut stim = VectorStimulus::new(exhaustive_patterns(4, 0)[..13].to_vec());
+            let sim = SeqFaultSim::new(
+                &u,
+                SeqFaultSimConfig {
+                    window,
+                    observe: ObserveMode::misr_default(16, 5),
+                    collect_syndromes: true,
+                    ..Default::default()
+                },
+            );
+            sim.run(&mut stim).unwrap()
+        };
+        let reference = run(1024); // one window covers all 13 cycles
+        assert!(reference.detected_count() > 0);
+        for window in [3, 4, 5, 7] {
+            let r = run(window);
+            assert_eq!(r.detection, reference.detection, "window={window}");
+            assert_eq!(r.syndromes, reference.syndromes, "window={window}");
         }
     }
 
@@ -1086,65 +1136,25 @@ mod tests {
     fn first_detection_is_independent_of_syndrome_collection() {
         let nl = small_seq();
         let u = FaultUniverse::stuck_at(&nl);
-        for engine in [SimEngine::Kernel, SimEngine::Graph] {
-            for observe in [ObserveMode::Outputs, ObserveMode::misr_default(16, 5)] {
-                let run = |collect_syndromes| {
-                    let mut stim = VectorStimulus::new(exhaustive_patterns(4, 1));
-                    let sim = SeqFaultSim::new(
-                        &u,
-                        SeqFaultSimConfig {
-                            window: 8,
-                            observe: observe.clone(),
-                            collect_syndromes,
-                            engine,
-                            ..Default::default()
-                        },
-                    );
-                    sim.run(&mut stim).unwrap()
-                };
-                let with = run(true);
-                let without = run(false);
-                assert!(with.detected_count() > 0);
-                assert_eq!(
-                    with.detection, without.detection,
-                    "engine={engine:?} observe={observe:?}"
+        for observe in [ObserveMode::Outputs, ObserveMode::misr_default(16, 5)] {
+            let run = |collect_syndromes| {
+                let mut stim = VectorStimulus::new(exhaustive_patterns(4, 1));
+                let sim = SeqFaultSim::new(
+                    &u,
+                    SeqFaultSimConfig {
+                        window: 8,
+                        observe: observe.clone(),
+                        collect_syndromes,
+                        ..Default::default()
+                    },
                 );
-                assert!(with.syndromes.is_some() && without.syndromes.is_none());
-            }
-        }
-    }
-
-    /// The compiled kernel engine must be bit-identical to the graph
-    /// reference across universes and observation modes — detections,
-    /// syndrome streams, and per-window survivor counts alike.
-    #[test]
-    fn kernel_engine_matches_graph_engine() {
-        let nl = small_seq();
-        for universe in [FaultUniverse::stuck_at(&nl), FaultUniverse::transition(&nl)] {
-            for observe in [ObserveMode::Outputs, ObserveMode::misr_default(16, 5)] {
-                let run = |engine| {
-                    let mut stim = VectorStimulus::new(exhaustive_patterns(4, 2));
-                    let sim = SeqFaultSim::new(
-                        &universe,
-                        SeqFaultSimConfig {
-                            window: 8,
-                            observe: observe.clone(),
-                            collect_syndromes: true,
-                            engine,
-                            ..Default::default()
-                        },
-                    );
-                    sim.run(&mut stim).unwrap()
-                };
-                let kernel = run(SimEngine::Kernel);
-                let graph = run(SimEngine::Graph);
-                assert!(kernel.detected_count() > 0);
-                assert_eq!(kernel.detection, graph.detection, "observe={observe:?}");
-                assert_eq!(kernel.syndromes, graph.syndromes, "observe={observe:?}");
-                assert_eq!(kernel.stats.survivors, graph.stats.survivors);
-                assert_eq!(kernel.stats.good_cycles, graph.stats.good_cycles);
-                assert_eq!(kernel.stats.faulty_cycles, graph.stats.faulty_cycles);
-            }
+                sim.run(&mut stim).unwrap()
+            };
+            let with = run(true);
+            let without = run(false);
+            assert!(with.detected_count() > 0);
+            assert_eq!(with.detection, without.detection, "observe={observe:?}");
+            assert!(with.syndromes.is_some() && without.syndromes.is_none());
         }
     }
 
@@ -1152,11 +1162,7 @@ mod tests {
     fn parallel_run_is_bit_identical_to_serial() {
         let nl = small_seq();
         for universe in [FaultUniverse::stuck_at(&nl), FaultUniverse::transition(&nl)] {
-            for (engine, observe) in [
-                (SimEngine::Kernel, ObserveMode::Outputs),
-                (SimEngine::Kernel, ObserveMode::misr_default(16, 8)),
-                (SimEngine::Graph, ObserveMode::misr_default(16, 8)),
-            ] {
+            for observe in [ObserveMode::Outputs, ObserveMode::misr_default(16, 8)] {
                 let run = |threads: usize| {
                     let mut stim = VectorStimulus::new(exhaustive_patterns(4, 2));
                     let sim = SeqFaultSim::new(
@@ -1166,7 +1172,6 @@ mod tests {
                             observe: observe.clone(),
                             collect_syndromes: true,
                             parallel: ParallelPolicy::with_threads(threads),
-                            engine,
                             ..Default::default()
                         },
                     );

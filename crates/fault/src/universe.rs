@@ -226,10 +226,16 @@ impl FaultUniverse {
         if stride == 1 {
             return;
         }
+        self.retain_faults(|i| i % stride == 0);
+    }
+
+    /// Keeps the collapsed faults whose current index satisfies `keep`, in
+    /// order, together with their classes.
+    pub fn retain_faults(&mut self, mut keep: impl FnMut(usize) -> bool) {
         let mut kept_faults = Vec::new();
         let mut kept_members = Vec::new();
         for (i, (&f, m)) in self.faults.iter().zip(&self.members).enumerate() {
-            if i % stride == 0 {
+            if keep(i) {
                 kept_faults.push(f);
                 kept_members.push(m.clone());
             }

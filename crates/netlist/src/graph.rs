@@ -392,18 +392,6 @@ impl Netlist {
         Ok(level)
     }
 
-    /// Builds the fanout table: for every net, the `(sink gate, pin)` pairs
-    /// it drives.
-    pub fn fanouts(&self) -> Vec<Vec<(NetId, PinIndex)>> {
-        let mut fo: Vec<Vec<(NetId, PinIndex)>> = vec![Vec::new(); self.gates.len()];
-        for (id, gate) in self.iter() {
-            for (pin, &p) in gate.pins.iter().enumerate() {
-                fo[p.index()].push((id, pin as PinIndex));
-            }
-        }
-        fo
-    }
-
     /// Gathers gate-count statistics.
     pub fn stats(&self) -> NetlistStats {
         NetlistStats::of(self)
@@ -593,15 +581,6 @@ mod tests {
             outer.instantiate(&inner, &map),
             Err(NetlistError::WidthMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn fanouts_cover_all_pins() {
-        let nl = tiny();
-        let fo = nl.fanouts();
-        let total: usize = fo.iter().map(Vec::len).sum();
-        let pins: usize = nl.gates().iter().map(|g| g.pins.len()).sum();
-        assert_eq!(total, pins);
     }
 
     #[test]

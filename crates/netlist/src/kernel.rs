@@ -27,8 +27,8 @@
 //!
 //! Evaluation over the compiled schedule is bit-identical to walking the
 //! graph with [`crate::GateKind::eval_word`]: same gate semantics, any
-//! topological order. `crates/conformance` pins that contract with a
-//! dedicated kernel-vs-graph engine pair.
+//! topological order. `crates/conformance` checks the kernel (and the
+//! simulators built on it) against its naive reference interpreter.
 
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
@@ -393,19 +393,6 @@ impl CompiledNetlist {
                 values[out + w] = eval_op(kind, values[a + w], values[b + w], values[c + w]);
             }
         }
-    }
-
-    /// Evaluates the single gate at schedule position `p` against `values`
-    /// and returns the result without storing it.
-    #[inline]
-    pub fn eval_pos(&self, p: usize, values: &[u64]) -> u64 {
-        let [a, b, c] = self.op_pins[p];
-        eval_op(
-            self.op_kind[p],
-            values[a as usize],
-            values[b as usize],
-            values[c as usize],
-        )
     }
 
     /// Evaluates the gate at schedule position `p` against caller-supplied

@@ -1,6 +1,8 @@
 //! Combinational 64-lane evaluation.
 
-use soctest_netlist::{GateKind, NetId, Netlist, NetlistError};
+use std::sync::Arc;
+
+use soctest_netlist::{CompiledNetlist, NetId, Netlist, NetlistError};
 
 /// A reusable combinational evaluator: applies 64 patterns per pass over the
 /// combinational view of a netlist (flip-flop outputs are treated as
@@ -8,9 +10,11 @@ use soctest_netlist::{GateKind, NetId, Netlist, NetlistError};
 ///
 /// The evaluator owns a value buffer indexed by [`NetId`]; callers write
 /// input and pseudo-input words, call [`CombSim::eval`], and read any net.
+/// Evaluation sweeps the netlist's compiled schedule
+/// ([`CompiledNetlist::eval`]).
 #[derive(Debug, Clone)]
 pub struct CombSim {
-    order: Vec<NetId>,
+    kernel: Arc<CompiledNetlist>,
     values: Vec<u64>,
 }
 
@@ -22,14 +26,9 @@ impl CombSim {
     /// Returns [`NetlistError::CombinationalCycle`] if the netlist has a
     /// combinational loop.
     pub fn new(netlist: &Netlist) -> Result<Self, NetlistError> {
-        let order = netlist.levelize()?;
-        let mut values = vec![0u64; netlist.len()];
-        for (id, gate) in netlist.iter() {
-            if gate.kind == GateKind::Const1 {
-                values[id.index()] = u64::MAX;
-            }
-        }
-        Ok(CombSim { order, values })
+        let kernel = netlist.compile()?;
+        let values = kernel.fresh_values();
+        Ok(CombSim { kernel, values })
     }
 
     /// Writes an input (or flip-flop pseudo-input) word.
@@ -49,41 +48,37 @@ impl CombSim {
         &self.values
     }
 
-    /// Mutable access to the value buffer (used by the fault simulator to
-    /// inject fault effects between evaluation and observation).
-    pub fn values_mut(&mut self) -> &mut [u64] {
-        &mut self.values
+    /// Evaluates every combinational gate in schedule order.
+    pub fn eval(&mut self) {
+        self.kernel.eval(&mut self.values);
     }
 
-    /// Evaluates every combinational gate in topological order.
-    pub fn eval(&mut self, netlist: &Netlist) {
-        let mut pins = [0u64; 3];
-        for &id in &self.order {
-            let gate = netlist.gate(id);
-            for (i, &p) in gate.pins.iter().enumerate() {
-                pins[i] = self.values[p.index()];
-            }
-            self.values[id.index()] = gate.kind.eval_word(&pins[..gate.pins.len()]);
+    /// Clocks every flip-flop. Every `d` is sampled before any `q` is
+    /// written, so a flip-flop fed by another one's `q` sees the pre-edge
+    /// value.
+    pub(crate) fn clock(&mut self) {
+        let sampled: Vec<u64> = self
+            .kernel
+            .dff_d()
+            .iter()
+            .map(|&d| self.values[d as usize])
+            .collect();
+        self.set_dff_state(&sampled);
+    }
+
+    /// The flip-flop output words, in [`Netlist::dffs`] order.
+    pub(crate) fn dff_state(&self) -> Vec<u64> {
+        let dff_q = self.kernel.dff_q();
+        dff_q.iter().map(|&q| self.values[q as usize]).collect()
+    }
+
+    /// Overwrites the flip-flop output words, in [`Netlist::dffs`] order.
+    pub(crate) fn set_dff_state(&mut self, state: &[u64]) {
+        let dff_q = self.kernel.dff_q();
+        assert_eq!(state.len(), dff_q.len(), "state snapshot size");
+        for (&q, &w) in dff_q.iter().zip(state) {
+            self.values[q as usize] = w;
         }
-    }
-
-    /// Evaluates only gates at or after `start_pos` in the topological
-    /// order — used for forward fault propagation when the fault site's
-    /// position is known.
-    pub fn eval_from(&mut self, netlist: &Netlist, start_pos: usize) {
-        let mut pins = [0u64; 3];
-        for &id in &self.order[start_pos..] {
-            let gate = netlist.gate(id);
-            for (i, &p) in gate.pins.iter().enumerate() {
-                pins[i] = self.values[p.index()];
-            }
-            self.values[id.index()] = gate.kind.eval_word(&pins[..gate.pins.len()]);
-        }
-    }
-
-    /// The topological order used by this evaluator.
-    pub fn order(&self) -> &[NetId] {
-        &self.order
     }
 }
 
@@ -116,7 +111,7 @@ mod tests {
             sim.set(nl.port("a").unwrap().bits()[bit as usize], wa);
             sim.set(nl.port("b").unwrap().bits()[bit as usize], wb);
         }
-        sim.eval(&nl);
+        sim.eval();
         for lane in 0..64u64 {
             let expect = (lane + 3 * lane) & 0xFF;
             let mut got = 0u64;
@@ -134,7 +129,7 @@ mod tests {
         mb.output_bus("k", &k);
         let nl = mb.finish().unwrap();
         let mut sim = CombSim::new(&nl).unwrap();
-        sim.eval(&nl);
+        sim.eval();
         let bits = nl.port("k").unwrap().bits();
         assert_eq!(sim.get(bits[0]), u64::MAX);
         assert_eq!(sim.get(bits[1]), 0);

@@ -6,9 +6,13 @@
 //!
 //! * **64 patterns at once** for combinational circuits (ATPG fault
 //!   simulation, signature checks), via [`CombSim`];
-//! * **64 machines at once** for sequential circuits (the parallel-fault
-//!   simulator in `soctest-fault` runs the good machine and 63 faulty
-//!   machines on the same per-cycle stimulus), via [`SeqSim`].
+//! * **64 machines at once** for sequential circuits, via [`SeqSim`]:
+//!   every lane carries its own flip-flop state under the same per-cycle
+//!   stimulus.
+//!
+//! Both are front ends over the netlist's compiled schedule
+//! ([`soctest_netlist::CompiledNetlist`]), the workspace's one
+//! gate-evaluation engine.
 //!
 //! [`ToggleMonitor`] implements the toggle-activity metric of the paper's
 //! step-1 evaluation loop (Fig. 3): the percentage of nets that were driven
@@ -43,13 +47,11 @@
 #![warn(missing_docs)]
 
 mod comb;
-mod kernel;
 mod seq;
 mod toggle;
 mod vcd;
 
 pub use comb::CombSim;
-pub use kernel::KernelSim;
 pub use seq::SeqSim;
 pub use toggle::{ToggleMonitor, ToggleReport};
 pub use vcd::VcdProbe;

@@ -1,6 +1,6 @@
 //! Sequential 64-lane simulation with explicit flip-flop state.
 
-use soctest_netlist::{NetId, Netlist, NetlistError};
+use soctest_netlist::{NetId, Netlist, NetlistError, PortDir};
 
 use crate::{broadcast, CombSim};
 
@@ -9,11 +9,13 @@ use crate::{broadcast, CombSim};
 /// Each net carries 64 lanes (see the [crate docs](crate)); flip-flops hold
 /// one word of state per lane set. A [`SeqSim::step`] evaluates the
 /// combinational logic and then clocks every flip-flop.
+///
+/// The simulator is a front end over the netlist's compiled schedule; the
+/// flip-flop state lives in the value buffer at the `q` nets.
 #[derive(Debug, Clone)]
 pub struct SeqSim<'a> {
     netlist: &'a Netlist,
     comb: CombSim,
-    dffs: Vec<NetId>,
     cycle: u64,
 }
 
@@ -27,7 +29,6 @@ impl<'a> SeqSim<'a> {
         Ok(SeqSim {
             netlist,
             comb: CombSim::new(netlist)?,
-            dffs: netlist.dffs(),
             cycle: 0,
         })
     }
@@ -44,9 +45,8 @@ impl<'a> SeqSim<'a> {
 
     /// Resets all flip-flops to 0 and the cycle counter.
     pub fn reset(&mut self) {
-        for &d in &self.dffs {
-            self.comb.set(d, 0);
-        }
+        let zeros = vec![0u64; self.comb.dff_state().len()];
+        self.comb.set_dff_state(&zeros);
         self.cycle = 0;
     }
 
@@ -68,35 +68,26 @@ impl<'a> SeqSim<'a> {
     /// Returns `false` if the port does not exist or is not an input.
     pub fn drive_port(&mut self, name: &str, value: u64) -> bool {
         match self.netlist.port(name) {
-            Some(p) => {
+            Some(p) if p.dir() == PortDir::Input => {
                 let bits: Vec<NetId> = p.bits().to_vec();
                 for (i, net) in bits.into_iter().enumerate() {
                     self.set_input_bit(net, (value >> i) & 1 == 1);
                 }
                 true
             }
-            None => false,
+            _ => false,
         }
     }
 
     /// Evaluates combinational logic for the current cycle without clocking.
     pub fn eval_comb(&mut self) {
-        self.comb.eval(self.netlist);
+        self.comb.eval();
     }
 
     /// Clocks every flip-flop (their `d` pins must be up to date, i.e. call
     /// [`SeqSim::eval_comb`] first or use [`SeqSim::step`]).
     pub fn clock(&mut self) {
-        // Sample every d pin before writing any q: a flip-flop whose d pin
-        // is another flip-flop's q net must see the pre-edge value.
-        let sampled: Vec<u64> = self
-            .dffs
-            .iter()
-            .map(|&q| self.comb.get(self.netlist.gate(q).pins[0]))
-            .collect();
-        for (&q, v) in self.dffs.iter().zip(sampled) {
-            self.comb.set(q, v);
-        }
+        self.comb.clock();
         self.cycle += 1;
     }
 
@@ -125,7 +116,7 @@ impl<'a> SeqSim<'a> {
 
     /// Snapshot of the flip-flop state words, in [`Netlist::dffs`] order.
     pub fn state(&self) -> Vec<u64> {
-        self.dffs.iter().map(|&d| self.comb.get(d)).collect()
+        self.comb.dff_state()
     }
 
     /// Restores a state snapshot taken with [`SeqSim::state`].
@@ -134,25 +125,12 @@ impl<'a> SeqSim<'a> {
     ///
     /// Panics if the snapshot length does not match the flip-flop count.
     pub fn restore_state(&mut self, state: &[u64]) {
-        assert_eq!(state.len(), self.dffs.len(), "state snapshot size");
-        for (&d, &w) in self.dffs.iter().zip(state) {
-            self.comb.set(d, w);
-        }
+        self.comb.set_dff_state(state);
     }
 
     /// Access to the underlying combinational evaluator.
     pub fn comb(&self) -> &CombSim {
         &self.comb
-    }
-
-    /// Mutable access to the underlying combinational evaluator.
-    pub fn comb_mut(&mut self) -> &mut CombSim {
-        &mut self.comb
-    }
-
-    /// The flip-flop nets, in state order.
-    pub fn dffs(&self) -> &[NetId] {
-        &self.dffs
     }
 }
 
@@ -218,6 +196,23 @@ mod tests {
         sim.restore_state(&snap);
         sim.eval_comb();
         assert_eq!(sim.read_port_lane("q", 0), Some(5));
+    }
+
+    #[test]
+    fn drive_port_refuses_output_ports() {
+        let nl = counter();
+        let mut sim = SeqSim::new(&nl).unwrap();
+        sim.drive_port("en", 1);
+        sim.drive_port("clr", 0);
+        for _ in 0..3 {
+            sim.step();
+        }
+        let before = sim.state();
+        assert!(!sim.drive_port("q", 0xA5));
+        assert!(!sim.drive_port("no_such_port", 1));
+        assert_eq!(sim.state(), before, "an output port must not be written");
+        sim.eval_comb();
+        assert_eq!(sim.read_port_lane("q", 0), Some(3));
     }
 
     #[test]

@@ -29,7 +29,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== example smoke: ldpc_bist =="
 cargo run --release --example ldpc_bist
 
-echo "== conformance: fixed-seed differential sweep (incl. kernel-vs-graph pair) =="
+echo "== conformance: fixed-seed differential sweep (incl. kernel-vs-brute-force pair) =="
 cargo run --release -p soctest-conformance --bin difftest -- \
     --seeds 25 --max-gates 80 --out target/difftest_ci.json
 
@@ -37,14 +37,15 @@ echo "== conformance: mutation self-test (sim + kernel harnesses) =="
 cargo run --release -p soctest-conformance --bin difftest -- \
     --seeds 25 --self-test --out target/difftest_selftest_ci.json
 
-echo "== fault-sim bench (kernel vs graph + serial vs parallel + trace-overhead gate) =="
+echo "== fault-sim bench (kernel vs brute-force reference + serial vs parallel + trace-overhead gate) =="
 cargo run --release -p soctest-bench --bin repro -- --quick --bench-faultsim \
     | tee target/bench_faultsim.txt
-# Kernel-equivalence gate: every case-study module must report bit-identical
-# results across serial/parallel policies and kernel/graph engines.
+# Oracle gate: every case-study module's kernel campaign must match
+# brute-force good-vs-forced reference runs (detections, survivors,
+# syndromes); the serial-vs-parallel identity is asserted in-process.
 for m in BIT_NODE CHECK_NODE CONTROL_UNIT; do
-    grep -q "^$m: identical: true" target/bench_faultsim.txt \
-        || { echo "$m: kernel/graph or serial/parallel results diverged"; exit 1; }
+    grep -q "^$m: brute-force: identical: true" target/bench_faultsim.txt \
+        || { echo "$m: kernel diverged from the brute-force reference"; exit 1; }
 done
 
 echo "== bench gate: history-median regression check + self-test =="

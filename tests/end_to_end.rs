@@ -2,6 +2,7 @@
 //! end to end on reduced budgets.
 
 use soctest::atpg::{ScanAtpg, SequentialAtpg, SequentialAtpgConfig};
+use soctest::conformance::oracle;
 use soctest::core::casestudy::CaseStudy;
 use soctest::core::eval::{self, FaultModel};
 use soctest::core::experiments::{self, Budget};
@@ -61,6 +62,26 @@ fn misr_observation_tracks_ideal_observation_closely() {
         misr.coverage_percent(),
         ideal.coverage_percent()
     );
+}
+
+/// The paper pipeline itself — a case-study module, its BIST stimulus and
+/// MISR observation — matches brute-force good-vs-forced runs of the
+/// naive reference interpreter: detections, syndromes and survivors. The
+/// release bench asserts the same on the full quick-budget campaigns.
+#[test]
+fn evaluation_flow_matches_the_brute_force_reference() {
+    let case = CaseStudy::paper().unwrap();
+    let module = &case.modules()[2];
+    let universe = FaultUniverse::stuck_at(module);
+    let pgen = case.pattern_generator();
+    let rows = oracle::stimulus_rows(&mut pgen.stimulus(2, 64), module.input_width());
+    let config = SeqFaultSimConfig {
+        observe: ObserveMode::misr_default(case.spec().misr_width, 8),
+        collect_syndromes: true,
+        ..Default::default()
+    };
+    let got = oracle::seq_check(&universe, &rows, config).unwrap();
+    assert!(got.detected_count() > 0);
 }
 
 #[test]

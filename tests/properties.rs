@@ -109,14 +109,14 @@ fn lanes_are_independent() {
             for (&net, &w) in ins.iter().zip(&padded) {
                 sim.set(net, w);
             }
-            sim.eval(&nl);
+            sim.eval();
             let parallel = sim.get(out);
             // Re-run lane 7 alone, broadcast.
             let mut solo = CombSim::new(&nl).unwrap();
             for (&net, &w) in ins.iter().zip(&padded) {
                 solo.set(net, if (w >> 7) & 1 == 1 { u64::MAX } else { 0 });
             }
-            solo.eval(&nl);
+            solo.eval();
             assert_eq!((parallel >> 7) & 1, solo.get(out) & 1);
         }
     }
