@@ -349,7 +349,6 @@ impl SequentialAtpg {
         podem.set_assignable(unrolled.assignable.clone());
         let mut seed = cfg.seed | 1;
         let mut targeted = 0usize;
-        let mut aborted;
         for (fi, &fault) in saf.faults().iter().enumerate() {
             if prelim.detection[fi].is_some() {
                 continue;
@@ -372,7 +371,7 @@ impl SequentialAtpg {
                 }
             }
         }
-        aborted = podem.aborted();
+        let aborted = podem.aborted();
 
         // Final evaluation of the full stimulus against both fault models.
         let stuck_at = {
@@ -384,7 +383,6 @@ impl SequentialAtpg {
             let mut stim = rows_stimulus(&rows);
             SeqFaultSim::new(&tdf, seq_cfg).run(&mut stim)?
         };
-        aborted += 0;
 
         Ok(AtpgOutcome {
             pattern_count: rows.len(),

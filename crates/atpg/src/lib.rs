@@ -15,7 +15,9 @@
 //!
 //! The PODEM implementation uses a nine-valued good/faulty pair algebra
 //! (a superset of the textbook five values) with level-guided backtrace and
-//! a bounded backtrack budget.
+//! a bounded backtrack budget. Implication is event-driven over the view's
+//! [`soctest_netlist::CompiledNetlist`], and the D-frontier is searched
+//! only in the target's fanout cone.
 //!
 //! # Example: one deterministic pattern
 //!

@@ -1,6 +1,8 @@
 //! PODEM: path-oriented decision making, on the nine-valued algebra.
 
-use soctest_netlist::{GateKind, NetId, Netlist, NetlistError};
+use std::sync::Arc;
+
+use soctest_netlist::{CompiledNetlist, GateKind, NetId, Netlist, NetlistError};
 
 use soctest_fault::{Fault, FaultKind};
 
@@ -50,18 +52,33 @@ impl TestCube {
 
 /// The PODEM test generator over a combinational view.
 ///
+/// Implication is event-driven over the view's [`CompiledNetlist`]: the
+/// nine-valued values start from a fault-free, all-X baseline computed
+/// once, and every assignment change re-evaluates only the gates its
+/// events reach, in schedule order. The schedule is topological, so the
+/// result is the fixpoint a full re-evaluation would reach.
+///
 /// See the [crate example](crate).
 #[derive(Debug)]
 pub struct Podem<'a> {
     view: &'a Netlist,
+    kernel: Arc<CompiledNetlist>,
     config: PodemConfig,
-    order: Vec<NetId>,
     levels: Vec<u32>,
-    pis: Vec<NetId>,
     pi_index: Vec<Option<u32>>,
     assignable: Vec<bool>,
     observe: Vec<NetId>,
+    /// Values with every primary input at X and no fault injected.
+    baseline: Vec<V9>,
     values: Vec<V9>,
+    /// Schedule positions awaiting re-evaluation, one bit each.
+    pending: Vec<u64>,
+    /// The current target's fanout cone, in ascending schedule position
+    /// (= ascending level, then net id): the only gates that can be on
+    /// its D-frontier.
+    cone: Vec<u32>,
+    /// Scratch marks over schedule positions for [`Podem::collect_cone`].
+    seen: Vec<u64>,
     /// Statistics: faults aborted on the backtrack limit.
     aborted: u64,
 }
@@ -73,26 +90,30 @@ impl<'a> Podem<'a> {
     ///
     /// Returns a levelization error for cyclic netlists.
     pub fn new(view: &'a Netlist, config: PodemConfig) -> Result<Self, NetlistError> {
-        let order = view.levelize()?;
+        let kernel = view.compile()?;
         let levels = view.levels()?;
-        let pis = view.primary_inputs();
         let mut pi_index = vec![None; view.len()];
-        for (i, &pi) in pis.iter().enumerate() {
-            pi_index[pi.index()] = Some(i as u32);
+        for (i, &pi) in kernel.pis().iter().enumerate() {
+            pi_index[pi as usize] = Some(i as u32);
         }
-        let observe = view.primary_outputs();
-        let n = view.len();
-        let npis = pis.len();
+        let mut baseline: Vec<V9> = view.iter().map(|(_, g)| source_value(g.kind)).collect();
+        for p in 0..kernel.ops() {
+            baseline[kernel.op_out(p) as usize] = eval_op(&kernel, p, &baseline);
+        }
+        let words = kernel.ops().div_ceil(64);
         Ok(Podem {
             view,
             config,
-            order,
             levels,
-            pis,
             pi_index,
-            assignable: vec![true; npis],
-            observe,
-            values: vec![V9::X; n],
+            assignable: vec![true; kernel.pis().len()],
+            observe: view.primary_outputs(),
+            values: baseline.clone(),
+            baseline,
+            pending: vec![0; words],
+            cone: Vec::new(),
+            seen: vec![0; words],
+            kernel,
             aborted: 0,
         })
     }
@@ -105,7 +126,7 @@ impl<'a> Podem<'a> {
     ///
     /// Panics if the mask length differs from the primary-input count.
     pub fn set_assignable(&mut self, mask: Vec<bool>) {
-        assert_eq!(mask.len(), self.pis.len(), "assignable mask size");
+        assert_eq!(mask.len(), self.assignable.len(), "assignable mask size");
         self.assignable = mask;
     }
 
@@ -137,14 +158,15 @@ impl<'a> Podem<'a> {
         );
         let stuck = fault.kind == FaultKind::Sa1;
         let site = fault.net;
-        let npis = self.pis.len();
-        let mut assign: Vec<Option<bool>> = vec![None; npis];
+        self.inject(site, stuck);
+        self.collect_cone(site);
+        let mut assign: Vec<Option<bool>> = vec![None; self.assignable.len()];
         // (pi, value, already flipped)
         let mut decisions: Vec<(usize, bool, bool)> = Vec::new();
         let mut backtracks = 0u32;
 
         loop {
-            self.imply(&assign, site, stuck);
+            self.imply(site, stuck);
             if self
                 .observe
                 .iter()
@@ -160,6 +182,7 @@ impl<'a> Podem<'a> {
             match next {
                 Some((pi, val)) if assign[pi].is_none() => {
                     assign[pi] = Some(val);
+                    self.set_pi(pi, Some(val), site, stuck);
                     decisions.push((pi, val, false));
                 }
                 _ => {
@@ -176,9 +199,11 @@ impl<'a> Podem<'a> {
                                         return None;
                                     }
                                     assign[pi] = Some(!val);
+                                    self.set_pi(pi, Some(!val), site, stuck);
                                     decisions.push((pi, !val, true));
                                     break;
                                 }
+                                self.set_pi(pi, None, site, stuck);
                             }
                         }
                     }
@@ -187,53 +212,113 @@ impl<'a> Podem<'a> {
         }
     }
 
-    /// Nine-valued implication: full forward evaluation with the fault
-    /// injected at `site`.
-    fn imply(&mut self, assign: &[Option<bool>], site: NetId, stuck: bool) {
-        for (id, gate) in self.view.iter() {
-            let v = match gate.kind {
-                GateKind::Input => {
-                    let pi = self.pi_index[id.index()].expect("input registered") as usize;
-                    match assign[pi] {
-                        Some(b) => V9::known(b),
-                        None => V9::X,
-                    }
-                }
-                GateKind::Const0 => V9::ZERO,
-                GateKind::Const1 => V9::ONE,
-                // Combinational views should not contain flip-flops; if one
-                // slips through, hold it at 0 like the fault simulators do.
-                GateKind::Dff => V9::ZERO,
-                _ => V9::X,
-            };
-            let v = if id == site && gate.kind.is_source() {
-                v.with_faulty(stuck)
-            } else {
-                v
-            };
-            self.values[id.index()] = v;
-        }
-        for i in 0..self.order.len() {
-            let id = self.order[i];
-            let gate = self.view.gate(id);
-            let p = |i: usize| self.values[gate.pins[i].index()];
-            let mut v = match gate.kind {
-                GateKind::Buf => p(0),
-                GateKind::Not => p(0).not(),
-                GateKind::And => p(0).and(p(1)),
-                GateKind::Nand => p(0).and(p(1)).not(),
-                GateKind::Or => p(0).or(p(1)),
-                GateKind::Nor => p(0).or(p(1)).not(),
-                GateKind::Xor => p(0).xor(p(1)),
-                GateKind::Xnor => p(0).xor(p(1)).not(),
-                GateKind::Mux2 => V9::mux(p(0), p(1), p(2)),
-                _ => continue,
-            };
-            if id == site {
-                v = v.with_faulty(stuck);
+    /// Resets the values to the baseline with the fault injected at
+    /// `site`, leaving the injection's events pending.
+    fn inject(&mut self, site: NetId, stuck: bool) {
+        self.values.copy_from_slice(&self.baseline);
+        self.pending.fill(0);
+        match self.kernel.sched_of(site.0) {
+            Some(p) => Self::mark(&mut self.pending, &[p as u32]),
+            None => {
+                self.values[site.index()] = self.values[site.index()].with_faulty(stuck);
+                self.mark_fanout(site.0);
             }
-            self.values[id.index()] = v;
         }
+    }
+
+    /// Drives primary input `pi` to `value` (`None` = X) and leaves its
+    /// fanout pending.
+    fn set_pi(&mut self, pi: usize, value: Option<bool>, site: NetId, stuck: bool) {
+        let net = self.kernel.pis()[pi];
+        let v = value.map_or(V9::X, V9::known);
+        self.values[net as usize] = if net == site.0 {
+            v.with_faulty(stuck)
+        } else {
+            v
+        };
+        self.mark_fanout(net);
+    }
+
+    /// Leaves schedule positions `ops` pending.
+    fn mark(pending: &mut [u64], ops: &[u32]) {
+        for &p in ops {
+            pending[p as usize / 64] |= 1 << (p % 64);
+        }
+    }
+
+    fn mark_fanout(&mut self, net: u32) {
+        Self::mark(&mut self.pending, self.kernel.fanout_ops(net));
+    }
+
+    /// Nine-valued implication: re-evaluates every pending gate in
+    /// ascending schedule position, re-injecting the fault at `site`, and
+    /// schedules a gate's fanout only when its value changed. Fanout
+    /// positions are always later, so one ascending sweep drains the set.
+    fn imply(&mut self, site: NetId, stuck: bool) {
+        let kernel = &*self.kernel;
+        for w in 0..self.pending.len() {
+            // Fanout may land later in this same word: re-read it.
+            while self.pending[w] != 0 {
+                let bits = self.pending[w];
+                self.pending[w] = bits & (bits - 1);
+                let p = w * 64 + bits.trailing_zeros() as usize;
+                let out = kernel.op_out(p);
+                let mut v = eval_op(kernel, p, &self.values);
+                if out == site.0 {
+                    v = v.with_faulty(stuck);
+                }
+                if v != self.values[out as usize] {
+                    self.values[out as usize] = v;
+                    Self::mark(&mut self.pending, kernel.fanout_ops(out));
+                }
+            }
+        }
+    }
+
+    /// Collects the schedule positions downstream of `site` into
+    /// [`Podem::cone`], ascending.
+    fn collect_cone(&mut self, site: NetId) {
+        let kernel = &*self.kernel;
+        self.cone.clear();
+        self.cone.extend_from_slice(kernel.fanout_ops(site.0));
+        for &p in &self.cone {
+            self.seen[p as usize / 64] |= 1 << (p % 64);
+        }
+        let mut i = 0;
+        while i < self.cone.len() {
+            let out = kernel.op_out(self.cone[i] as usize);
+            for &q in kernel.fanout_ops(out) {
+                let (w, bit) = (q as usize / 64, 1u64 << (q % 64));
+                if self.seen[w] & bit == 0 {
+                    self.seen[w] |= bit;
+                    self.cone.push(q);
+                }
+            }
+            i += 1;
+        }
+        for &p in &self.cone {
+            self.seen[p as usize / 64] = 0;
+        }
+        self.cone.sort_unstable();
+    }
+
+    /// The D-frontier gate to advance: the first one in the cone, which is
+    /// the lowest-level one (ties: lowest net id).
+    fn frontier(&self) -> Option<NetId> {
+        let kernel = &*self.kernel;
+        let visible = |n: u32| self.values[n as usize].is_fault_visible();
+        self.cone
+            .iter()
+            .map(|&p| p as usize)
+            .find(|&p| {
+                let out = self.values[kernel.op_out(p) as usize];
+                !out.is_fault_visible()
+                    && out.has_x()
+                    && kernel.op_pins(p)[..kernel.op_arity(p)]
+                        .iter()
+                        .any(|&n| visible(n))
+            })
+            .map(|p| NetId(kernel.op_out(p)))
     }
 
     /// Chooses the next objective: excite the fault, then advance the
@@ -245,28 +330,7 @@ impl<'a> Podem<'a> {
             Some(g) if g == stuck => return None, // excitation conflict
             Some(_) => {}
         }
-        // Fault excited; find the lowest-level D-frontier gate.
-        let mut best: Option<(u32, NetId)> = None;
-        for (id, gate) in self.view.iter() {
-            if gate.kind.is_source() {
-                continue;
-            }
-            let out = self.values[id.index()];
-            if out.is_fault_visible() || !out.has_x() {
-                continue;
-            }
-            let frontier = gate
-                .pins
-                .iter()
-                .any(|&p| self.values[p.index()].is_fault_visible());
-            if frontier {
-                let lvl = self.levels[id.index()];
-                if best.is_none_or(|(bl, _)| lvl < bl) {
-                    best = Some((lvl, id));
-                }
-            }
-        }
-        let (_, gid) = best?;
+        let gid = self.frontier()?;
         let gate = self.view.gate(gid);
         let x_pin = |want_low_level: bool| {
             let mut cands: Vec<NetId> = gate
@@ -391,11 +455,187 @@ impl<'a> Podem<'a> {
     }
 }
 
+/// The value of a net before implication: constants, flip-flops held at 0
+/// as in the fault simulators, and X for everything else.
+fn source_value(kind: GateKind) -> V9 {
+    match kind {
+        GateKind::Const0 | GateKind::Dff => V9::ZERO,
+        GateKind::Const1 => V9::ONE,
+        _ => V9::X,
+    }
+}
+
+/// Nine-valued evaluation of the gate at schedule position `p`.
+fn eval_op(kernel: &CompiledNetlist, p: usize, values: &[V9]) -> V9 {
+    let [a, b, c] = kernel.op_pins(p).map(|n| values[n as usize]);
+    match kernel.op_kind(p) {
+        GateKind::Buf => a,
+        GateKind::Not => a.not(),
+        GateKind::And => a.and(b),
+        GateKind::Nand => a.and(b).not(),
+        GateKind::Or => a.or(b),
+        GateKind::Nor => a.or(b).not(),
+        GateKind::Xor => a.xor(b),
+        GateKind::Xnor => a.xor(b).not(),
+        GateKind::Mux2 => V9::mux(a, b, c),
+        // Sources are never scheduled.
+        GateKind::Input | GateKind::Const0 | GateKind::Const1 | GateKind::Dff => V9::X,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use soctest_fault::{CombFaultSim, FaultUniverse, PatternSet};
-    use soctest_netlist::ModuleBuilder;
+    use soctest_netlist::{ModuleBuilder, PortDir};
+
+    /// A seeded random combinational view: `inputs` primary inputs, a tie
+    /// cell, and `gates` gates of every combinational kind, each reading
+    /// among the last `window` nets; the last four nets are the outputs.
+    fn random_view(seed: u64, inputs: usize, gates: usize, window: usize) -> Netlist {
+        const KINDS: [GateKind; 9] = [
+            GateKind::Buf,
+            GateKind::Not,
+            GateKind::And,
+            GateKind::Nand,
+            GateKind::Or,
+            GateKind::Nor,
+            GateKind::Xor,
+            GateKind::Xnor,
+            GateKind::Mux2,
+        ];
+        let mut s = seed | 1;
+        let mut draw = |n: usize| {
+            s = crate::random::xorshift64(s);
+            (s % n as u64) as usize
+        };
+        let mut nl = Netlist::new("rand");
+        let pis: Vec<NetId> = (0..inputs)
+            .map(|_| nl.add_gate(GateKind::Input, vec![]))
+            .collect();
+        nl.add_port(PortDir::Input, "in", pis.clone()).unwrap();
+        let mut nets = pis;
+        nets.push(nl.add_gate(GateKind::Const1, vec![]));
+        for _ in 0..gates {
+            let kind = KINDS[draw(KINDS.len())];
+            let arity = match kind {
+                GateKind::Buf | GateKind::Not => 1,
+                GateKind::Mux2 => 3,
+                _ => 2,
+            };
+            // Pins come from the most recent nets: a narrow window makes
+            // deep chains, a wide one reconvergence and wide D-frontiers.
+            let pins = (0..arity)
+                .map(|_| nets[nets.len() - 1 - draw(nets.len().min(window))])
+                .collect();
+            nets.push(nl.add_gate(kind, pins));
+        }
+        nl.add_port(PortDir::Output, "out", nets[nets.len() - 4..].to_vec())
+            .unwrap();
+        nl
+    }
+
+    /// The values of a from-scratch sweep: sources from `assign` and the
+    /// fault, then every scheduled gate in order.
+    fn from_scratch(
+        podem: &Podem<'_>,
+        assign: &[Option<bool>],
+        site: NetId,
+        stuck: bool,
+    ) -> Vec<V9> {
+        let k = &*podem.kernel;
+        let mut v: Vec<V9> = podem
+            .view
+            .iter()
+            .map(|(_, g)| source_value(g.kind))
+            .collect();
+        for (&pi, a) in k.pis().iter().zip(assign) {
+            v[pi as usize] = a.map_or(V9::X, V9::known);
+        }
+        if k.sched_of(site.0).is_none() {
+            v[site.index()] = v[site.index()].with_faulty(stuck);
+        }
+        for p in 0..k.ops() {
+            let mut x = eval_op(k, p, &v);
+            if k.op_out(p) == site.0 {
+                x = x.with_faulty(stuck);
+            }
+            v[k.op_out(p) as usize] = x;
+        }
+        v
+    }
+
+    /// The lowest-level (then lowest-id) D-frontier gate over the whole
+    /// view: the full scan the cone-scoped search replaces.
+    fn full_scan_frontier(podem: &Podem<'_>) -> Option<NetId> {
+        let mut best: Option<(u32, NetId)> = None;
+        for (id, gate) in podem.view.iter() {
+            let out = podem.values[id.index()];
+            if gate.kind.is_source() || out.is_fault_visible() || !out.has_x() {
+                continue;
+            }
+            if gate
+                .pins
+                .iter()
+                .any(|&p| podem.values[p.index()].is_fault_visible())
+            {
+                let lvl = podem.levels[id.index()];
+                if best.is_none_or(|(bl, _)| lvl < bl) {
+                    best = Some((lvl, id));
+                }
+            }
+        }
+        best.map(|(_, id)| id)
+    }
+
+    /// Random assign / flip / unassign walks, with a fault on a primary
+    /// input and on a gate: after every implication the incremental values
+    /// equal a from-scratch sweep, and the first D-frontier gate of the
+    /// cone is the one a full scan picks.
+    #[test]
+    fn incremental_implication_matches_a_full_sweep() {
+        for seed in 1..=12u64 {
+            let window = if seed % 2 == 0 { 12 } else { 48 };
+            let nl = random_view(seed, 6 + seed as usize % 5, 40 + 7 * seed as usize, window);
+            let mut podem = Podem::new(&nl, PodemConfig::default()).unwrap();
+            let npis = podem.assignable.len();
+            let gate_site = podem.kernel.op_out(podem.kernel.ops() / 3);
+            let sites = [(NetId(0), true), (NetId(gate_site), false)];
+            let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            let mut draw = |n: u64| {
+                s = crate::random::xorshift64(s);
+                s % n
+            };
+            for (site, stuck) in sites {
+                podem.inject(site, stuck);
+                podem.collect_cone(site);
+                let mut assign = vec![None; npis];
+                for step in 0..120 {
+                    // Several changes per implication, as a backtrack makes.
+                    for _ in 0..1 + draw(3) {
+                        let pi = draw(npis as u64) as usize;
+                        assign[pi] = match (assign[pi], draw(2)) {
+                            (None, b) => Some(b == 1),
+                            (Some(b), 0) => Some(!b),
+                            (Some(_), _) => None,
+                        };
+                        podem.set_pi(pi, assign[pi], site, stuck);
+                    }
+                    podem.imply(site, stuck);
+                    assert_eq!(
+                        podem.values,
+                        from_scratch(&podem, &assign, site, stuck),
+                        "seed {seed} site {site} step {step}"
+                    );
+                    assert_eq!(
+                        podem.frontier(),
+                        full_scan_frontier(&podem),
+                        "seed {seed} site {site} step {step}"
+                    );
+                }
+            }
+        }
+    }
 
     fn full_adder() -> Netlist {
         let mut mb = ModuleBuilder::new("fa");

@@ -106,15 +106,31 @@ impl RefRun {
         }
         Ok(())
     }
+}
 
-    /// Whether fault `fi` still needs simulating.
-    fn live(&self, fi: usize) -> bool {
-        self.syndromes.is_some() || self.detection[fi].is_none()
+/// One fault's part of a [`RefRun`].
+#[derive(Debug, Clone)]
+struct FaultRun {
+    detection: Option<u64>,
+    syndrome: Option<Syndrome>,
+}
+
+impl FaultRun {
+    fn new(collect: bool) -> Self {
+        FaultRun {
+            detection: None,
+            syndrome: collect.then(Syndrome::new),
+        }
     }
 
-    /// Records fault `fi`'s observation `got` at cycle (or pattern) `t`
-    /// against the good machine's; returns [`RefRun::live`].
-    fn record(&mut self, fi: usize, t: u64, good: &Observation, got: &Observation) -> bool {
+    /// Whether the fault still needs simulating.
+    fn live(&self) -> bool {
+        self.syndrome.is_some() || self.detection.is_none()
+    }
+
+    /// Records the fault's observation `got` at cycle (or pattern) `t`
+    /// against the good machine's; returns [`FaultRun::live`].
+    fn record(&mut self, t: u64, good: &Observation, got: &Observation) -> bool {
         let events: Vec<(u64, u64)> = match (good, got) {
             (Observation::Bits(g), Observation::Bits(f)) => (0..g.len())
                 .filter(|&oi| g[oi] != f[oi])
@@ -123,15 +139,15 @@ impl RefRun {
             (Observation::Sig(_, g), Observation::Sig(read, f)) if g != f => vec![(*read, *f)],
             _ => Vec::new(),
         };
-        if !events.is_empty() && self.detection[fi].is_none() {
-            self.detection[fi] = Some(t);
+        if !events.is_empty() && self.detection.is_none() {
+            self.detection = Some(t);
         }
-        if let Some(syn) = &mut self.syndromes {
+        if let Some(syn) = &mut self.syndrome {
             for (when, what) in events {
-                syn[fi].record(when, what);
+                syn.record(when, what);
             }
         }
-        self.live(fi)
+        self.live()
     }
 }
 
@@ -145,40 +161,82 @@ enum Observation {
 
 /// Replays `campaign` on `universe` by brute force; `collect` records
 /// syndromes and simulates every fault to the end (otherwise a fault stops
-/// at its first detection).
+/// at its first detection). Faults are independent, so they are sharded
+/// over scoped threads; the result does not depend on the thread count.
 pub fn brute_force(universe: &FaultUniverse, campaign: Campaign<'_>, collect: bool) -> RefRun {
-    let n = universe.len();
-    let mut run = RefRun {
-        detection: vec![None; n],
-        syndromes: collect.then(|| vec![Syndrome::new(); n]),
-        survivors: Vec::new(),
-    };
-    run.survivors = match campaign {
-        Campaign::Seq {
-            rows,
-            observe,
-            window,
-        } => {
+    let faults = universe.faults();
+    let threads = std::thread::available_parallelism().map_or(1, |t| t.get());
+    let runs: Vec<FaultRun> = match campaign {
+        Campaign::Seq { rows, observe, .. } => {
             let mut good = Vec::new();
             seq_observations(universe, observe, rows, None, |_, obs| {
                 good.push(obs);
                 true
             });
-            for (fi, &fault) in universe.faults().iter().enumerate() {
-                let mut k = 0;
-                seq_observations(universe, observe, rows, Some(fault), |t, obs| {
-                    k += 1;
-                    run.record(fi, t, &good[k - 1], &obs)
-                });
-            }
-            // The window loop stops once every fault is dropped.
+            sharded(threads, faults.len(), |shard| {
+                shard
+                    .map(|fi| {
+                        let mut run = FaultRun::new(collect);
+                        let mut k = 0;
+                        seq_observations(universe, observe, rows, Some(faults[fi]), |t, obs| {
+                            k += 1;
+                            run.record(t, &good[k - 1], &obs)
+                        });
+                        run
+                    })
+                    .collect()
+            })
+        }
+        Campaign::Comb { rows, state_map } => {
+            let view = universe.view();
+            let obs = universe.observe_nets();
+            sharded(threads, faults.len(), |shard| {
+                let shard: Vec<usize> = shard.collect();
+                let mut runs = vec![FaultRun::new(collect); shard.len()];
+                for (p, row) in rows.iter().enumerate() {
+                    let mut good = RefMachine::new(view);
+                    good.set_inputs(row);
+                    good.settle();
+                    let launch: Vec<bool> = (0..view.len())
+                        .map(|i| good.value(NetId(i as u32)))
+                        .collect();
+                    if let Some(map) = state_map {
+                        for &(ppi, ppo) in map {
+                            good.set_input(ppi, launch[ppo.index()]);
+                        }
+                        good.settle();
+                    }
+                    let good_obs = Observation::Bits(obs.iter().map(|&o| good.value(o)).collect());
+                    for (run, &fi) in runs.iter_mut().zip(&shard) {
+                        if !run.live() {
+                            continue;
+                        }
+                        let fault = faults[fi];
+                        let mut m = good.clone();
+                        m.inject(fault);
+                        if state_map.is_some() {
+                            m.set_prev(Some(launch[fault.net.index()]));
+                        }
+                        m.settle();
+                        let got = Observation::Bits(obs.iter().map(|&o| m.value(o)).collect());
+                        run.record(p as u64, &good_obs, &got);
+                    }
+                }
+                runs
+            })
+        }
+    };
+    let detection: Vec<Option<u64>> = runs.iter().map(|r| r.detection).collect();
+    let survivors = match campaign {
+        // The window loop stops once every fault is dropped.
+        Campaign::Seq { rows, window, .. } => {
             let window = window.max(1);
             let cycles = rows.len() as u64;
             let mut survivors = Vec::new();
-            let (mut start, mut active) = (0u64, n);
+            let (mut start, mut active) = (0u64, detection.len());
             while start < cycles && active > 0 {
                 let end = (start + window).min(cycles);
-                let s = undetected_at(&run.detection, end);
+                let s = undetected_at(&detection, end);
                 survivors.push(s);
                 if !collect {
                     active = s;
@@ -187,43 +245,39 @@ pub fn brute_force(universe: &FaultUniverse, campaign: Campaign<'_>, collect: bo
             }
             survivors
         }
-        Campaign::Comb { rows, state_map } => {
-            let view = universe.view();
-            let obs = universe.observe_nets();
-            for (p, row) in rows.iter().enumerate() {
-                let mut good = RefMachine::new(view);
-                good.set_inputs(row);
-                good.settle();
-                let launch: Vec<bool> = (0..view.len())
-                    .map(|i| good.value(NetId(i as u32)))
-                    .collect();
-                if let Some(map) = state_map {
-                    for &(ppi, ppo) in map {
-                        good.set_input(ppi, launch[ppo.index()]);
-                    }
-                    good.settle();
-                }
-                let good_obs = Observation::Bits(obs.iter().map(|&o| good.value(o)).collect());
-                for (fi, &fault) in universe.faults().iter().enumerate() {
-                    if !run.live(fi) {
-                        continue;
-                    }
-                    let mut m = good.clone();
-                    m.inject(fault);
-                    if state_map.is_some() {
-                        m.set_prev(Some(launch[fault.net.index()]));
-                    }
-                    m.settle();
-                    let got = Observation::Bits(obs.iter().map(|&o| m.value(o)).collect());
-                    run.record(fi, p as u64, &good_obs, &got);
-                }
-            }
-            (0..rows.len().div_ceil(64))
-                .map(|b| undetected_at(&run.detection, (b as u64 + 1) * 64))
-                .collect()
-        }
+        Campaign::Comb { rows, .. } => (0..rows.len().div_ceil(64))
+            .map(|b| undetected_at(&detection, (b as u64 + 1) * 64))
+            .collect(),
     };
-    run
+    RefRun {
+        detection,
+        syndromes: collect.then(|| runs.into_iter().flat_map(|r| r.syndrome).collect()),
+        survivors,
+    }
+}
+
+/// The fault indices of one shard.
+type Shard = std::iter::StepBy<std::ops::Range<usize>>;
+
+/// Runs `shard` over the fault indices `0..n` split round-robin across
+/// `threads` scoped threads (shard `t` of `T` gets `t, t + T, t + 2T, …`),
+/// and returns the per-fault results in fault order.
+fn sharded<T: Send>(threads: usize, n: usize, shard: impl Fn(Shard) -> Vec<T> + Sync) -> Vec<T> {
+    let threads = threads.clamp(1, n.max(1));
+    let shards: Vec<Vec<T>> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..threads)
+            .map(|t| {
+                let shard = &shard;
+                s.spawn(move || shard((t..n).step_by(threads)))
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
+    });
+    let mut iters: Vec<_> = shards.into_iter().map(Vec::into_iter).collect();
+    (0..n).filter_map(|fi| iters[fi % threads].next()).collect()
 }
 
 /// Faults not yet detected before cycle `end`.
@@ -451,6 +505,21 @@ mod tests {
         let mut bad = good.clone();
         bad.syndromes.as_mut().unwrap()[fi].record(999, 0);
         assert!(reference.check(&u, &bad).unwrap_err().contains("syndrome"));
+    }
+
+    /// Shards merge back in fault order whatever the thread count.
+    #[test]
+    fn shards_merge_in_fault_order() {
+        for threads in 1..=5 {
+            for n in 0..12 {
+                let got = sharded(threads, n, |shard| shard.collect());
+                assert_eq!(
+                    got,
+                    (0..n).collect::<Vec<_>>(),
+                    "{threads} threads, {n} faults"
+                );
+            }
+        }
     }
 
     #[test]
