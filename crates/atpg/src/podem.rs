@@ -75,7 +75,9 @@ pub struct Podem<'a> {
     pending: Vec<u64>,
     /// The current target's fanout cone, in ascending schedule position
     /// (= ascending level, then net id): the only gates that can be on
-    /// its D-frontier.
+    /// its D-frontier. Scanning the schedule from the site instead gives
+    /// the same gate but measured slower: PODEM busy time 1.49 s against
+    /// 1.07 s (median of 9 traced full-scan runs, seed 1, 2 vCPUs).
     cone: Vec<u32>,
     /// Scratch marks over schedule positions for [`Podem::collect_cone`].
     seen: Vec<u64>,

@@ -6,7 +6,7 @@
 //!          [--report-on-failure] [--fleet] [--fleet-dies N]
 //! ```
 //!
-//! Default mode fuzzes all five engine pairs over `N` seeds and writes a
+//! Default mode fuzzes all four engine pairs over `N` seeds and writes a
 //! machine-readable JSON report. On the first `sim`-pair mismatch the
 //! failing netlist is minimized and dumped next to the report for
 //! `--replay`; with `--vcd-on-failure` the probe stimulus is additionally

@@ -5,7 +5,8 @@
 //! machine carrying the injected fault, compared cycle by cycle (or
 //! pattern by pattern). It shares nothing with the fault simulators' window
 //! loop, lane packing, merge or MISR read schedule — only the netlist, the
-//! fault list and the result types — so it checks everything a simulator
+//! fault list, the result types and the thread count of a
+//! [`ParallelPolicy`] — so it checks everything a simulator
 //! reports ([`RefRun::check`]):
 //!
 //! * first-detection indices;
@@ -15,8 +16,8 @@
 
 use soctest_bist::Misr;
 use soctest_fault::{
-    Fault, FaultSimResult, FaultUniverse, ObserveMode, SeqFaultSim, SeqFaultSimConfig, SeqStimulus,
-    Syndrome,
+    Fault, FaultSimResult, FaultUniverse, ObserveMode, ParallelPolicy, SeqFaultSim,
+    SeqFaultSimConfig, SeqStimulus, Syndrome,
 };
 use soctest_netlist::NetId;
 use soctest_prng::SplitMix64;
@@ -165,7 +166,7 @@ enum Observation {
 /// over scoped threads; the result does not depend on the thread count.
 pub fn brute_force(universe: &FaultUniverse, campaign: Campaign<'_>, collect: bool) -> RefRun {
     let faults = universe.faults();
-    let threads = std::thread::available_parallelism().map_or(1, |t| t.get());
+    let threads = ParallelPolicy::default().workers_for(faults.len());
     let runs: Vec<FaultRun> = match campaign {
         Campaign::Seq { rows, observe, .. } => {
             let mut good = Vec::new();
@@ -260,10 +261,10 @@ pub fn brute_force(universe: &FaultUniverse, campaign: Campaign<'_>, collect: bo
 type Shard = std::iter::StepBy<std::ops::Range<usize>>;
 
 /// Runs `shard` over the fault indices `0..n` split round-robin across
-/// `threads` scoped threads (shard `t` of `T` gets `t, t + T, t + 2T, …`),
-/// and returns the per-fault results in fault order.
+/// `threads` (at least 1) scoped threads (shard `t` of `T` gets
+/// `t, t + T, t + 2T, …`), and returns the per-fault results in fault
+/// order.
 fn sharded<T: Send>(threads: usize, n: usize, shard: impl Fn(Shard) -> Vec<T> + Sync) -> Vec<T> {
-    let threads = threads.clamp(1, n.max(1));
     let shards: Vec<Vec<T>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..threads)
             .map(|t| {

@@ -20,13 +20,7 @@
 //!   and per-window survivor trajectories for stuck-at (both observation
 //!   modes, with and without syndromes) and launch-on-capture transition
 //!   faults, on two combinational and two sequential circuits per seed.
-//! * **`podem`** — `atpg::Podem`'s verdicts vs exhaustive enumeration on
-//!   the [`RefMachine`]: every returned cube detects its fault under every
-//!   don't-care fill, and every "untestable" verdict (a `None` that did
-//!   not count as aborted) is confirmed by trying every input vector, on
-//!   a combinational circuit and the scan view of a sequential one.
 
-use soctest_atpg::{Podem, PodemConfig, ScanView};
 use soctest_bist::structural::BistSpec;
 use soctest_bist::{
     fold_xor, structural as bist_structural, Alfsr, BistCommand, BistEngine, BistEngineConfig,
@@ -47,8 +41,8 @@ use crate::oracle::{brute_force, seq_check, Campaign};
 use crate::reference::{self, RefMachine};
 use crate::report::Mismatch;
 
-/// The five redundant engine pairs, in run order.
-pub const PAIR_NAMES: [&str; 5] = ["sim", "bist", "p1500", "kernel", "podem"];
+/// The four redundant engine pairs, in run order.
+pub const PAIR_NAMES: [&str; 4] = ["sim", "bist", "p1500", "kernel"];
 
 /// Lanes sampled out of the 64-lane words when comparing against the
 /// single-bit reference.
@@ -73,7 +67,6 @@ pub fn run_all_pairs(seed: u64, max_gates: usize) -> Vec<Mismatch> {
     out.extend(pair_bist(seed, max_gates));
     out.extend(pair_p1500(seed, max_gates));
     out.extend(pair_kernel(seed, max_gates));
-    out.extend(pair_podem(seed, max_gates));
     out
 }
 
@@ -929,17 +922,13 @@ fn kernel_seq_divergence(nl: &Netlist, probe_seed: u64) -> Option<String> {
     })
 }
 
-/// Draws a netlist of at most `max_gates` gates from stream `tag` of
-/// `seed`: combinational, or with at least one flip-flop when `seq`.
-fn draw_netlist(seed: u64, tag: u64, max_gates: usize, seq: bool) -> Netlist {
-    let mut rng = rng_for(seed, tag);
-    let cfg = GeneratorConfig::sample(&mut rng, max_gates);
-    let cfg = if seq { cfg.seq(&mut rng) } else { cfg.comb() };
-    random_netlist(&mut rng, &cfg)
-}
-
 fn pair_kernel(seed: u64, max_gates: usize) -> Vec<Mismatch> {
-    let draw = |tag, cap: usize, seq| draw_netlist(seed, tag, max_gates.min(cap), seq);
+    let draw = |tag: u64, cap: usize, seq: bool| {
+        let mut rng = rng_for(seed, tag);
+        let cfg = GeneratorConfig::sample(&mut rng, max_gates.min(cap));
+        let cfg = if seq { cfg.seq(&mut rng) } else { cfg.comb() };
+        random_netlist(&mut rng, &cfg)
+    };
     let comb = [draw(3, 40, false), draw(16, 60, false)];
     let seq = [draw(4, 30, true), draw(17, 40, true)];
     let comb = comb.iter().map(|nl| kernel_comb_divergence(nl, nl, seed));
@@ -952,119 +941,6 @@ fn pair_kernel(seed: u64, max_gates: usize) -> Vec<Mismatch> {
             detail,
         })
         .collect()
-}
-
-// -------------------------------------------------------------- pair: podem
-
-/// Most primary inputs [`podem_divergence`] enumerates exhaustively.
-const PODEM_MAX_INPUTS: usize = 16;
-
-/// Checks [`Podem`] on the stuck-at universe of `view` against the
-/// reference interpreter. Every returned cube must detect its fault under
-/// every don't-care fill (all of them up to 64, else 64 seeded fills
-/// including all-0 and all-1), and every `None` that left
-/// [`Podem::aborted`] unchanged must be a fault no input vector detects.
-/// With `masked`, a seeded quarter of the inputs is made unassignable and
-/// only the cubes are checked: they must leave those inputs free and
-/// still detect, whatever values the masked inputs take. The view may
-/// have at most [`PODEM_MAX_INPUTS`] inputs.
-fn podem_divergence(view: &Netlist, probe_seed: u64, masked: bool) -> Option<String> {
-    let universe = FaultUniverse::stuck_at(view);
-    let view = universe.view();
-    let width = view.input_width();
-    assert!(
-        width <= PODEM_MAX_INPUTS,
-        "{width} inputs are too many to enumerate"
-    );
-    let mut rng = rng_for(probe_seed, 18);
-    let bits = |v: u64| -> Vec<bool> { (0..width).map(|i| (v >> i) & 1 == 1).collect() };
-    let good: Vec<Vec<bool>> = (0..1u64 << width)
-        .map(|v| reference::eval_comb(view, &bits(v)))
-        .collect();
-    let detects = |fault, v: u64| {
-        let mut m = RefMachine::new(view);
-        m.inject(fault);
-        m.set_inputs(&bits(v));
-        m.settle();
-        m.outputs() != good[v as usize]
-    };
-    let mut podem = Podem::new(view, PodemConfig::default()).expect("generated views levelize");
-    let mut assignable = vec![true; width];
-    if masked {
-        for a in &mut assignable {
-            *a = !rng.gen_bool(0.25);
-        }
-        podem.set_assignable(assignable.clone());
-    }
-    for (fi, &fault) in universe.faults().iter().enumerate() {
-        let aborted = podem.aborted();
-        let describe = || format!("fault {fi} ({})", universe.describe(fi));
-        let Some(cube) = podem.generate(fault) else {
-            if !masked && podem.aborted() == aborted {
-                if let Some(v) = (0..1u64 << width).find(|&v| detects(fault, v)) {
-                    return Some(format!(
-                        "{}: reported untestable, but input vector {v:#b} detects it",
-                        describe()
-                    ));
-                }
-            }
-            continue;
-        };
-        let fixed = cube
-            .assignments
-            .iter()
-            .enumerate()
-            .fold(0u64, |acc, (i, a)| acc | (u64::from(*a == Some(true)) << i));
-        let free: Vec<usize> = (0..width)
-            .filter(|&i| cube.assignments[i].is_none())
-            .collect();
-        if let Some(i) = (0..width).find(|&i| !assignable[i] && cube.assignments[i].is_some()) {
-            return Some(format!(
-                "{}: cube assigns unassignable input {i}",
-                describe()
-            ));
-        }
-        let fills: Vec<u64> = if free.len() <= 6 {
-            (0..1u64 << free.len()).collect()
-        } else {
-            let mut f = vec![0, u64::MAX];
-            f.extend((0..62).map(|_| rng.next_u64()));
-            f
-        };
-        for fill in fills {
-            let v = free
-                .iter()
-                .enumerate()
-                .fold(fixed, |acc, (k, &i)| acc | (((fill >> k) & 1) << i));
-            if !detects(fault, v) {
-                return Some(format!(
-                    "{}: cube {:?} does not detect it under input vector {v:#b}",
-                    describe(),
-                    cube.assignments
-                ));
-            }
-        }
-    }
-    None
-}
-
-fn pair_podem(seed: u64, max_gates: usize) -> Vec<Mismatch> {
-    let comb = draw_netlist(seed, 19, max_gates.min(80), false);
-    let scan = ScanView::of(&draw_netlist(seed, 20, max_gates.min(60), true))
-        .expect("scan view of a generated netlist");
-    [
-        podem_divergence(&comb, seed, false),
-        podem_divergence(&scan.view, seed, false),
-        podem_divergence(&comb, seed, true),
-    ]
-    .into_iter()
-    .flatten()
-    .map(|detail| Mismatch {
-        pair: "podem",
-        seed,
-        detail,
-    })
-    .collect()
 }
 
 #[cfg(test)]
